@@ -14,17 +14,24 @@ applied at transmission time through a *deferral ledger*:
   which is the signal routers use to reject or divert new requests.
 
 The ledger is aggregate — it counts deferred instances without tracking
-*which* instance is late.  That keeps the cap enforcement O(titles) per slot
-regardless of load, and matches how the provisioning layer reasons about
-overflow slots; scenarios that need exact per-segment delivery accounting
-(the fault-injection tests) run with enough capacity that the backlog stays
-zero, where scheduled and transmitted instances coincide.
+*which* instance is late.  That matches how the provisioning layer reasons
+about overflow slots; scenarios that need exact per-segment delivery
+accounting (the fault-injection tests) run with enough capacity that the
+backlog stays zero, where scheduled and transmitted instances coincide.
+
+Demand is cached per server: :meth:`CappedServer.demand` sums
+``slot_load`` over the hosted titles once for a slot and keeps the sum;
+every write to a hosted schedule goes through the server, which adjusts
+the cached sum by the one written title's ``slot_load`` delta.  Routing
+queries (:meth:`~CappedServer.pressure`) and the per-slot cap
+(:meth:`~CappedServer.finalize_slot`) are therefore O(1) while they ask
+about the cached slot, and cost one O(titles) sum per new slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ClusterError
 from ..sim.slotted import SlottedModel
@@ -97,6 +104,11 @@ class CappedServer:
             )
         self.alive = True
         self.backlog = 0
+        # Demand cache: `_demand` is the summed slot_load of `_demand_slot`
+        # (None when nothing is cached).  Only this class writes the hosted
+        # schedules, so every write can keep the sum current.
+        self._demand_slot: Optional[int] = None
+        self._demand = 0
         # Lifetime counters (never reset, survive crashes).
         self.admitted = 0
         self.failover_clients_in = 0
@@ -115,19 +127,38 @@ class CappedServer:
         """Whether a router may send a new request here."""
         return self.alive and self.backlog < self.backlog_limit
 
-    def admit(self, title: int, slot: int) -> None:
-        """Admit one request for ``title`` that arrived during ``slot``."""
+    def _hosted(self, title: int) -> SlottedModel:
+        """The live protocol of ``title``; raises if down or not hosted."""
         if not self.alive:
             raise ClusterError(
-                f"server {self.server_id} is down; cannot admit title {title}"
+                f"server {self.server_id} is down; cannot schedule title {title}"
             )
         try:
-            protocol = self.protocols[title]
+            return self.protocols[title]
         except KeyError:
             raise ClusterError(
                 f"server {self.server_id} holds no replica of title {title}"
             ) from None
-        protocol.handle_request(slot)
+
+    def _write(self, protocol: SlottedModel, write: Callable[..., Any], *args) -> Any:
+        """Run ``write(*args)`` on ``protocol``, keeping the demand cache current.
+
+        The cached sum moves by the written title's ``slot_load`` delta on
+        the cached slot; the other titles' schedules are untouched.
+        """
+        cached = self._demand_slot
+        if cached is None:
+            return write(*args)
+        before = protocol.slot_load(cached)
+        try:
+            return write(*args)
+        finally:
+            self._demand += protocol.slot_load(cached) - before
+
+    def admit(self, title: int, slot: int) -> None:
+        """Admit one request for ``title`` that arrived during ``slot``."""
+        protocol = self._hosted(title)
+        self._write(protocol, protocol.handle_request, slot)
         self.admitted += 1
 
     def admit_suffix(self, title: int, slot: int, first_segment: int) -> None:
@@ -144,38 +175,49 @@ class CappedServer:
         if first_segment <= 1:
             self.admit(title, slot)
             return
-        if not self.alive:
-            raise ClusterError(
-                f"server {self.server_id} is down; cannot admit title {title}"
-            )
-        try:
-            protocol = self.protocols[title]
-        except KeyError:
-            raise ClusterError(
-                f"server {self.server_id} holds no replica of title {title}"
-            ) from None
+        protocol = self._hosted(title)
         handle = getattr(protocol, "handle_suffix_request", None)
         if handle is None:
             raise ClusterError(
                 f"protocol {type(protocol).__name__} cannot admit suffix "
                 "joins; hierarchy scenarios with a cache budget require DHB"
             )
-        handle(slot, first_segment)
+        self._write(protocol, handle, slot, first_segment)
         self.admitted += 1
+
+    def update(self, title: int, write: Callable[..., Any], *args) -> Any:
+        """Run ``write(protocol, *args)`` on the live protocol of ``title``.
+
+        The entry point for writes other than admissions, such as
+        degraded-mode failover placing a crashed peer's instances here
+        (:func:`repro.cluster.faults.fail_over`).  Going through the server
+        keeps the cached demand current; returns ``write``'s result.
+        """
+        protocol = self._hosted(title)
+        return self._write(protocol, write, protocol, *args)
 
     def pressure(self, slot: int) -> int:
         """Routing load signal: backlog plus the next slot's scheduled demand.
 
-        Deterministic and cheap (O(titles)); the least-loaded router ranks
-        candidates by it.
+        Deterministic and O(1) once the next slot's demand is cached (see
+        :meth:`demand`); the least-loaded router ranks candidates by it.
         """
         return self.backlog + self.demand(slot + 1)
 
     # -- the capped timeline --------------------------------------------------
 
     def demand(self, slot: int) -> int:
-        """Segment instances the hosted protocols scheduled for ``slot``."""
-        return sum(protocol.slot_load(slot) for protocol in self.protocols.values())
+        """Segment instances the hosted protocols scheduled for ``slot``.
+
+        Sums ``slot_load`` over the hosted titles when ``slot`` is not the
+        cached one, then caches that sum; admissions keep it current.
+        """
+        if slot != self._demand_slot:
+            self._demand = sum(
+                protocol.slot_load(slot) for protocol in self.protocols.values()
+            )
+            self._demand_slot = slot
+        return self._demand
 
     def finalize_slot(self, slot: int, capacity: Optional[int] = None) -> SlotReport:
         """Apply the channel cap to ``slot`` and advance the deferral ledger.
@@ -215,9 +257,15 @@ class CappedServer:
         }
 
     def release_before(self, slot: int) -> None:
-        """Drop per-slot bookkeeping for slots ``< slot`` on every title."""
+        """Drop per-slot bookkeeping for slots ``< slot`` on every title.
+
+        Released slots read as empty afterwards, so a cached demand below
+        ``slot`` is dropped; loads at or after ``slot`` are unchanged.
+        """
         for protocol in self.protocols.values():
             protocol.release_before(slot)
+        if self._demand_slot is not None and self._demand_slot < slot:
+            self._demand_slot = None
 
     # -- fault transitions ----------------------------------------------------
 
@@ -233,6 +281,7 @@ class CappedServer:
             return
         self.alive = False
         self.backlog = 0
+        self._demand_slot = None
         self.protocols = {title: self._factory(title) for title in self.titles}
         for protocol in self.protocols.values():
             protocol.release_before(slot)

@@ -317,7 +317,9 @@ def fail_over(
     first survivor (failover is forced — admission headroom does not apply,
     because these clients were already admitted); a title with no surviving
     replica counts its instances in ``lost_for_good`` instead of raising,
-    so sharded-catalog experiments can measure the damage.
+    so sharded-catalog experiments can measure the damage.  Placements go
+    through :meth:`CappedServer.update`, which keeps the survivor's cached
+    demand current.
     """
     lost = lost_instances(crashed, crash_slot)
     crashed.crash(crash_slot)
@@ -328,8 +330,9 @@ def fail_over(
             report.lost_for_good += 1
             continue
         target = survivors[0]
-        placed_slot, shared = reschedule_instance(
-            target.protocols[instance.title],
+        placed_slot, shared = target.update(
+            instance.title,
+            reschedule_instance,
             crash_slot,
             instance.segment,
             instance.due_slot,

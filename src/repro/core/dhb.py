@@ -115,48 +115,8 @@ class DHBProtocol(SlottedModel):
         """Admit a request that arrived during ``slot`` (Figure 6).
 
         Returns the client's reception plan when ``track_clients`` is on.
-
-        When the chooser is the paper's default rule the admission runs on
-        the schedule's fused fast path (:meth:`SlotSchedule.choose_latest_min`
-        over the array load store); custom :class:`SlotChooser` callables go
-        through the equivalent generic loop, so ablation arms see identical
-        semantics.
         """
-        fused = self.chooser is latest_min_load_chooser
-        if fused and self.enable_sharing and not self.track_clients:
-            return self._handle_request_fast(slot)
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        schedule = self.schedule
-        instances_before = schedule.total_instances if self.metrics is not None else 0
-        for segment in range(1, self.n_segments + 1):
-            window_end = slot + self._period_list[segment - 1]
-            existing = (
-                schedule.next_transmission(segment)
-                if self.enable_sharing
-                else None
-            )
-            if existing is not None and existing > slot:
-                # The single-future-instance invariant guarantees
-                # existing <= window_end, so this instance is shareable.
-                if plan is not None:
-                    plan.assign(segment, existing, shared=True)
-                continue
-            if fused:
-                chosen = schedule.choose_latest_min(slot + 1, window_end)
-            else:
-                chosen = self.chooser(schedule.load, slot + 1, window_end)
-            schedule.add(chosen, segment)
-            if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        self.requests_admitted += 1
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc()
-            self.metrics.counter("protocol.instances_scheduled").inc(
-                schedule.total_instances - instances_before
-            )
-        if plan is not None:
-            self.clients.append(plan)
-        return plan
+        return self._admit(slot, 1, 1)
 
     def handle_suffix_request(
         self, slot: int, first_segment: int
@@ -173,57 +133,12 @@ class DHBProtocol(SlottedModel):
         segment is a configuration error (a fully cached title never joins
         the origin).
         """
-        if first_segment <= 1:
-            return self.handle_request(slot)
         if first_segment > self.n_segments:
             raise ConfigurationError(
                 f"first_segment {first_segment} beyond the last segment "
                 f"{self.n_segments}; fully cached titles do not join the origin"
             )
-        fused = self.chooser is latest_min_load_chooser
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        schedule = self.schedule
-        instances_before = schedule.total_instances if self.metrics is not None else 0
-        for segment in range(first_segment, self.n_segments + 1):
-            window_end = slot + self._period_list[segment - 1]
-            existing = (
-                schedule.next_transmission(segment)
-                if self.enable_sharing
-                else None
-            )
-            if existing is not None and existing > slot:
-                if plan is not None:
-                    plan.assign(segment, existing, shared=True)
-                continue
-            if fused:
-                chosen = schedule.choose_latest_min(slot + 1, window_end)
-            else:
-                chosen = self.chooser(schedule.load, slot + 1, window_end)
-            schedule.add(chosen, segment)
-            if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        self.requests_admitted += 1
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc()
-            self.metrics.counter("protocol.instances_scheduled").inc(
-                schedule.total_instances - instances_before
-            )
-        if plan is not None:
-            self.clients.append(plan)
-        return plan
-
-    def _handle_request_fast(self, slot: int) -> None:
-        """Vectorised admission for the default heuristic.
-
-        One vector compare finds the segments with no shareable future
-        instance (at saturation only ~H(n) of n qualify); each of those is
-        then placed by the fused window-min kernel
-        (:meth:`SlotSchedule.place_latest_min_many`).  Processing stays in
-        ascending segment order and reads loads live, so the resulting
-        schedule is bit-for-bit the generic loop's.
-        """
-        self.handle_batch(slot, 1)
-        return None
+        return self._admit(slot, max(first_segment, 1), 1)
 
     def handle_batch(self, slot: int, count: int) -> None:
         """Admit ``count`` same-slot requests in one batched admission.
@@ -240,27 +155,76 @@ class DHBProtocol(SlottedModel):
         sharing disabled, client tracking) fall back to the scalar loop,
         whose semantics genuinely differ per request.
         """
-        if count <= 0:
-            return
-        fused = self.chooser is latest_min_load_chooser
-        if not (fused and self.enable_sharing and not self.track_clients):
-            for _ in range(count):
-                self.handle_request(slot)
-            return
+        if count > 0:
+            self._admit(slot, 1, count)
+
+    def _admit(
+        self, slot: int, first_segment: int, count: int
+    ) -> Optional[ClientPlan]:
+        """Figure 6 over segments ``first_segment .. n`` for ``count`` requests.
+
+        When the chooser is the paper's default rule, sharing is on and no
+        plans are kept, admission is vectorised: one compare over the
+        future-instance index finds the segments with no shareable future
+        instance (at saturation only ~H(n) of n qualify), and the fused
+        window-min kernel (:meth:`SlotSchedule.place_latest_min_many`)
+        places them in ascending segment order, reading loads live — so the
+        schedule is bit-for-bit the generic loop's.  Every other
+        configuration runs the generic loop once per request; custom
+        :class:`SlotChooser` callables see identical semantics there.
+        """
         schedule = self.schedule
-        needed = (schedule.next_transmissions <= slot).nonzero()[0]
-        placed = 0
-        if needed.size:
-            periods = self._period_list
-            indices = needed.tolist()
-            placed = schedule.place_latest_min_many(
-                slot + 1,
-                [slot + periods[index] for index in indices],
-                [index + 1 for index in indices],
-            )
-        self.requests_admitted += count
+        periods = self._period_list
+        fused = self.chooser is latest_min_load_chooser
+        if fused and self.enable_sharing and not self.track_clients:
+            index = schedule.next_transmissions
+            if first_segment > 1:  # no view on the batched S_1 hot path
+                index = index[first_segment - 1 :]
+            offsets = (index <= slot).nonzero()[0]
+            placed = 0
+            if offsets.size:
+                segments = [offset + first_segment for offset in offsets.tolist()]
+                placed = schedule.place_latest_min_many(
+                    slot + 1,
+                    [slot + periods[segment - 1] for segment in segments],
+                    segments,
+                )
+            self._count(count, placed)
+            return None
+        plan = None
+        for _ in range(count):
+            plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
+            instances_before = schedule.total_instances
+            for segment in range(first_segment, self.n_segments + 1):
+                existing = (
+                    schedule.next_transmission(segment)
+                    if self.enable_sharing
+                    else None
+                )
+                if existing is not None and existing > slot:
+                    # The single-future-instance invariant guarantees
+                    # existing <= slot + T[segment], so it is shareable.
+                    if plan is not None:
+                        plan.assign(segment, existing, shared=True)
+                    continue
+                window_end = slot + periods[segment - 1]
+                if fused:
+                    chosen = schedule.choose_latest_min(slot + 1, window_end)
+                else:
+                    chosen = self.chooser(schedule.load, slot + 1, window_end)
+                schedule.add(chosen, segment)
+                if plan is not None:
+                    plan.assign(segment, chosen, shared=False)
+            self._count(1, schedule.total_instances - instances_before)
+            if plan is not None:
+                self.clients.append(plan)
+        return plan
+
+    def _count(self, requests: int, placed: int) -> None:
+        """Record ``requests`` admissions that scheduled ``placed`` instances."""
+        self.requests_admitted += requests
         if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc(count)
+            self.metrics.counter("protocol.requests").inc(requests)
             self.metrics.counter("protocol.instances_scheduled").inc(placed)
 
     def slot_load(self, slot: int) -> int:
