@@ -29,6 +29,20 @@ stream instead (Carter & Long's stream-restart option); we use the window
 that is cost-optimal for Poisson arrivals
 (:func:`repro.analysis.theory.optimal_patching_window`), either from a
 configured expected rate or from an online interarrival estimate.
+
+Latest-owner map
+----------------
+Position ``x`` is tappable at time ``t`` iff some member whose pieces carry
+``x`` arrived at ``t_j >= t - x``; only the *latest* such arrival ``L(x)``
+matters.  A newcomer's pieces are exactly the positions nobody still
+covers, and its arrival is the latest so far, so ``L`` only ever changes by
+"set to ``t`` on the gaps".  The group therefore keeps one sorted, disjoint
+list of ``(start, end, owner)`` segments tiling ``[0, Δ_last)``, and each
+request makes a single left-to-right pass over it: it emits the gaps,
+keeps each segment's live part ``[max(start, t - owner), end)`` and splices
+in the gaps with owner ``t``.  A dead prefix stays dead for every later
+(non-decreasing) arrival, so trimming it changes no later answer.  The cost
+is O(segments) per request, with no sort.
 """
 
 from __future__ import annotations
@@ -39,7 +53,11 @@ from ..analysis.theory import optimal_patching_window
 from ..errors import ConfigurationError
 from ..sim.continuous import BusyInterval, ReactiveModel
 from ..units import HOUR, TWO_HOURS
-from .intervals import Interval, subtract
+
+#: A video piece ``[start, end)`` in seconds of playout position.
+Interval = Tuple[float, float]
+#: A latest-owner segment: ``(start, end, arrival of its latest owner)``.
+Segment = Tuple[float, float, float]
 
 
 class StreamTappingProtocol(ReactiveModel):
@@ -59,6 +77,9 @@ class StreamTappingProtocol(ReactiveModel):
     restart_window:
         Explicit restart threshold in seconds, overriding the optimal
         window.
+
+    Arrival times passed to :meth:`handle_request` must be non-decreasing,
+    as :class:`~repro.sim.continuous.ContinuousSimulation` guarantees.
 
     Examples
     --------
@@ -80,6 +101,14 @@ class StreamTappingProtocol(ReactiveModel):
     ):
         if duration <= 0:
             raise ConfigurationError(f"duration must be > 0, got {duration}")
+        if expected_rate_per_hour is not None and expected_rate_per_hour < 0:
+            raise ConfigurationError(
+                f"expected_rate_per_hour must be >= 0, got {expected_rate_per_hour}"
+            )
+        if restart_window is not None and restart_window < 0:
+            raise ConfigurationError(
+                f"restart_window must be >= 0, got {restart_window}"
+            )
         self.duration = float(duration)
         self.extra_tapping = extra_tapping
         self._fixed_window = restart_window
@@ -88,9 +117,9 @@ class StreamTappingProtocol(ReactiveModel):
         )
         self._estimated_gap: Optional[float] = None
         self._last_arrival: Optional[float] = None
-        # Group state: complete-stream start + members' own transmissions.
+        # Group state: complete-stream start + the latest-owner map.
         self._group_start: Optional[float] = None
-        self._members: List[Tuple[float, List[Interval]]] = []
+        self._owners: List[Segment] = []
         self.complete_streams = 0
         self.requests_served = 0
 
@@ -116,7 +145,7 @@ class StreamTappingProtocol(ReactiveModel):
 
     def _start_group(self, time: float) -> List[BusyInterval]:
         self._group_start = time
-        self._members = []
+        self._owners = []
         self.complete_streams += 1
         return [(time, time + self.duration)]
 
@@ -129,24 +158,41 @@ class StreamTappingProtocol(ReactiveModel):
         delta = time - self._group_start
         if delta > self.restart_window():
             return self._start_group(time)
-        gaps = self._uncovered_prefix(time, delta)
-        self._members.append((time, gaps))
+        if self.extra_tapping:
+            gaps = self._uncovered_prefix(time, delta)
+        else:
+            gaps = [(0.0, delta)] if delta > 0 else []
         # Each gap piece [a, b) of video is transmitted just-in-time,
         # i.e. during wall time [time + a, time + b).
         return [(time + a, time + b) for a, b in gaps]
 
     def _uncovered_prefix(self, time: float, delta: float) -> List[Interval]:
-        """Video in ``[0, delta)`` not obtainable from existing streams."""
-        if not self.extra_tapping or not self._members:
-            return [(0.0, delta)] if delta > 0 else []
-        covers: List[Interval] = []
-        for member_arrival, pieces in self._members:
-            earliest_position = time - member_arrival
-            for piece_start, piece_end in pieces:
-                start = max(piece_start, earliest_position)
-                if start < piece_end:
-                    covers.append((start, piece_end))
-        return subtract((0.0, delta), covers)
+        """Video in ``[0, delta)`` not obtainable from existing streams.
+
+        One pass over the latest-owner map: returns the gaps and makes the
+        newcomer (arrival ``time``) their owner.
+        """
+        gaps: List[Interval] = []
+        owners: List[Segment] = []
+        cursor = 0.0
+        for segment in self._owners:
+            start, end, owner = segment
+            live_from = time - owner
+            if live_from > start:
+                if live_from >= end:
+                    continue  # dead for good: absorbed into the next gap
+                start = live_from
+                segment = (start, end, owner)
+            if start > cursor:
+                gaps.append((cursor, start))
+                owners.append((cursor, start, time))
+            owners.append(segment)
+            cursor = end
+        if cursor < delta:
+            gaps.append((cursor, delta))
+            owners.append((cursor, delta, time))
+        self._owners = owners
+        return gaps
 
     def startup_delay(self, time: float) -> float:
         """Stream tapping gives instant access."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import SimulationError
 from .stats import OnlineStats
 
@@ -155,14 +157,8 @@ class TimeWeightedRecorder:
             return 0
         # +1 at starts, -1 at ends; ends sort before starts at equal times so
         # that back-to-back intervals do not double count.
-        points: List[Tuple[float, int]] = []
-        for start, end in self._intervals:
-            points.append((start, 1))
-            points.append((end, -1))
-        points.sort(key=lambda p: (p[0], p[1]))
-        level = 0
-        peak = 0
-        for _, delta in points:
-            level += delta
-            peak = max(peak, level)
-        return peak
+        n = len(self._intervals)
+        times = np.array(self._intervals, dtype=float).T.ravel()
+        steps = np.repeat(np.array([1, -1], dtype=np.int64), n)
+        order = np.lexsort((steps, times))
+        return int(np.cumsum(steps[order]).max())

@@ -1,10 +1,10 @@
-"""Tests for repro.protocols.intervals."""
+"""Tests for the interval algebra of the stream-tapping reference oracle."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.protocols.intervals import clip, normalize, subtract, total_length
+from .interval_oracle import clip, normalize, subtract, total_length
 
 interval = st.tuples(st.floats(0, 100), st.floats(0, 100)).map(
     lambda p: (min(p), max(p))

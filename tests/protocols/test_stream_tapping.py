@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.protocols.stream_tapping import StreamTappingProtocol
 from repro.sim.continuous import ContinuousSimulation
 from repro.workload.arrivals import PoissonArrivals
+
+from .interval_oracle import subtract, total_length
 
 
 def make(duration=100.0, **kwargs):
@@ -124,3 +128,109 @@ def test_mean_cost_tracks_patching_theory(rng):
 def test_validation():
     with pytest.raises(ConfigurationError):
         StreamTappingProtocol(duration=0.0)
+
+
+def test_negative_restart_window_rejected():
+    with pytest.raises(ConfigurationError):
+        StreamTappingProtocol(duration=100.0, restart_window=-1.0)
+
+
+def test_negative_expected_rate_rejected():
+    with pytest.raises(ConfigurationError):
+        StreamTappingProtocol(duration=100.0, expected_rate_per_hour=-10.0)
+
+
+class MemberListStreamTapping(StreamTappingProtocol):
+    """Reference oracle: the member-list algorithm the latest-owner map replaced.
+
+    Every request rescans all earlier group members' pieces, clips each at
+    ``time - t_j`` and subtracts their sorted union from ``[0, Δ)``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._members = []
+
+    def _start_group(self, time):
+        self._members = []
+        return super()._start_group(time)
+
+    def handle_request(self, time):
+        self._observe_gap(time)
+        self.requests_served += 1
+        if self._group_start is None or time >= self._group_start + self.duration:
+            return self._start_group(time)
+        delta = time - self._group_start
+        if delta > self.restart_window():
+            return self._start_group(time)
+        gaps = self._uncovered_prefix(time, delta)
+        self._members.append((time, gaps))
+        return [(time + a, time + b) for a, b in gaps]
+
+    def _uncovered_prefix(self, time, delta):
+        if not self.extra_tapping or not self._members:
+            return [(0.0, delta)] if delta > 0 else []
+        return subtract((0.0, delta), self._live_covers(time))
+
+    def _live_covers(self, time):
+        covers = []
+        for member_arrival, pieces in self._members:
+            earliest_position = time - member_arrival
+            for piece_start, piece_end in pieces:
+                start = max(piece_start, earliest_position)
+                if start < piece_end:
+                    covers.append((start, piece_end))
+        return covers
+
+
+#: Arrival lists: coarse grids force duplicate timestamps and exact ties
+#: between piece ends and ``time - t_j``; raw floats exercise rounding.
+arrival_lists = st.one_of(
+    st.lists(st.integers(0, 400), max_size=60).map(lambda xs: sorted(x / 4 for x in xs)),
+    st.lists(st.floats(0, 400, allow_nan=False), max_size=60).map(sorted),
+)
+window_options = st.one_of(
+    st.fixed_dictionaries({"restart_window": st.sampled_from([0.0, 7.5, 40.0, 1e9])}),
+    st.fixed_dictionaries({"restart_window": st.floats(0, 200)}),
+    st.fixed_dictionaries({"expected_rate_per_hour": st.floats(1, 5000)}),
+    st.just({}),  # online rate estimate
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrivals=arrival_lists,
+    duration=st.sampled_from([25.0, 60.0, 150.0, 1000.0]),
+    window=window_options,
+    extra_tapping=st.booleans(),
+)
+def test_latest_owner_map_matches_member_list(arrivals, duration, window, extra_tapping):
+    """The latest-owner map answers every request bit-for-bit like the oracle."""
+    st_ = StreamTappingProtocol(duration, extra_tapping=extra_tapping, **window)
+    oracle = MemberListStreamTapping(duration, extra_tapping=extra_tapping, **window)
+    for time in arrivals:
+        groups_before = oracle.complete_streams
+        covers = oracle._live_covers(time) if extra_tapping else []
+        assert st_.handle_request(time) == oracle.handle_request(time)
+        assert st_.complete_streams == oracle.complete_streams
+        assert st_.requests_served == oracle.requests_served
+        if oracle.complete_streams != groups_before:
+            assert st_._owners == []
+            continue
+        delta = time - oracle._group_start
+        gaps = oracle._members[-1][1]
+        # Partition: the gaps plus the live covers tile [0, delta) ...
+        clipped = [(a, min(b, delta)) for a, b in covers]
+        assert total_length(gaps) + total_length(clipped) == pytest.approx(delta, abs=1e-6)
+        for gap_start, gap_end in gaps:
+            assert 0.0 <= gap_start < gap_end <= delta
+            # ... and no gap meets a live cover.
+            for cover_start, cover_end in covers:
+                assert gap_end <= cover_start or gap_start >= cover_end
+        if extra_tapping:
+            # The map tiles [0, delta) contiguously, and the newcomer owns its gaps.
+            bounds = [0.0] + [end for _, end, _ in st_._owners]
+            assert [start for start, _, _ in st_._owners] == bounds[:-1]
+            assert bounds[-1] == (delta if st_._owners else 0.0)
+            owned = [(a, b) for a, b, owner in st_._owners if owner == time]
+            assert all(any(a <= s and e <= b for a, b in owned) for s, e in gaps)

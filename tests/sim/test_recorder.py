@@ -1,7 +1,7 @@
 """Tests for repro.sim.recorder."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -138,3 +138,35 @@ class TestTimeWeightedRecorder:
         rec = TimeWeightedRecorder(0.0, 100.0)
         rec.add_intervals(intervals)
         assert rec.mean_concurrency() <= rec.max_concurrency() + 1e-12
+
+    @given(
+        st.lists(
+            st.one_of(
+                # Integer endpoints force back-to-back ties (end == next start).
+                st.tuples(st.integers(-20, 120), st.integers(-20, 120)),
+                st.tuples(st.floats(-20, 120), st.floats(-20, 120)),
+            ).map(lambda p: (float(min(p)), float(max(p)))),
+            max_size=60,
+        )
+    )
+    @example([])
+    def test_max_concurrency_matches_tuple_sort_sweep(self, intervals):
+        """The NumPy sweep agrees with the Python tuple-sort sweep it replaced.
+
+        Endpoints range past both window edges, so intervals get clipped on
+        either side (or dropped entirely); the empty list is the empty
+        recorder, whose peak is 0.
+        """
+        rec = TimeWeightedRecorder(0.0, 100.0)
+        rec.add_intervals(intervals)
+        points = []
+        for start, end in rec._intervals:
+            points.append((start, 1))
+            points.append((end, -1))
+        points.sort(key=lambda p: (p[0], p[1]))
+        level = peak = 0
+        for _, delta in points:
+            level += delta
+            peak = max(peak, level)
+        assert rec.max_concurrency() == peak
+        assert type(rec.max_concurrency()) is int
