@@ -44,10 +44,15 @@ def optimal_patching_window(rate_per_second: float, duration: float) -> float:
 
     ``cost(w) = (D + λ w²/2) / (w + 1/λ)``
 
-    gives the classic result ``w* = (sqrt(1 + 2 λ D) - 1) / λ``.
+    gives the classic result ``w* = (sqrt(1 + 2 λ D) - 1) / λ``.  The
+    window tends to 0 as λ grows, and that limit is returned when
+    ``2 λ D`` is not finite (an infinite rate, or a product that
+    overflows), where the closed form would give NaN.
 
     >>> round(optimal_patching_window(0.0, 7200.0), 1)
     7200.0
+    >>> optimal_patching_window(math.inf, 7200.0)
+    0.0
     """
     if duration <= 0:
         raise ConfigurationError(f"duration must be > 0, got {duration}")
@@ -56,7 +61,10 @@ def optimal_patching_window(rate_per_second: float, duration: float) -> float:
     if rate_per_second == 0:
         # No sharing is possible; any window up to D behaves identically.
         return duration
-    return (math.sqrt(1.0 + 2.0 * rate_per_second * duration) - 1.0) / rate_per_second
+    product = 2.0 * rate_per_second * duration
+    if not math.isfinite(product):
+        return 0.0
+    return (math.sqrt(1.0 + product) - 1.0) / rate_per_second
 
 
 def patching_cost_rate(

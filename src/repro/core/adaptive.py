@@ -23,21 +23,20 @@ stays fixed, which is what makes the retune loss-free:
   the schedule untouched, so later retunes (up *or* down) cannot invalidate
   a plan already handed out.  This is the same zero-loss invariant the
   cluster layer's fail-over re-homing relies on.
-* **No double-scheduling.**  The protocol keeps, per segment, the sorted
-  list of that segment's *future* instance slots and shares whenever one
-  falls inside the current window.  A freshly placed instance lands inside
-  every later same-slot request's window, so at most one instance of a
-  segment is ever placed per admission — and never twice in one slot.
+* **No double-scheduling.**  The protocol shares a segment whenever its
+  *earliest* future instance falls inside the current window.  A freshly
+  placed instance lands inside every later same-slot request's window, so
+  at most one instance of a segment is ever placed per admission — and
+  never twice in one slot.
 
-Why the per-segment future lists instead of
-:attr:`~repro.core.schedule.SlotSchedule.next_transmissions` (what static
-DHB uses)?  The schedule tracks only the *latest* future instance, which
-is sufficient under never-shrinking windows (the single-future-instance
-invariant).  When slack decreases, a window *shrinks*, the invariant
-breaks — an instance may exist beyond the new window's end — and trusting
-``next_transmission > slot`` would hand clients shared assignments they
-can never meet.  The sorted lists make the window check exact under any
-slack trajectory.
+Why a head index instead of static DHB's
+:attr:`~repro.core.schedule.SlotSchedule.next_transmissions`?  That is the
+*latest* future instance, enough only while windows never shrink.  After a
+slack decrease a segment may hold an instance beyond the new window plus
+one inside it, so the protocol indexes each segment's *earliest* future
+instance in a NumPy array, backed by sorted lists touched only when a head
+expires or is replaced.  An admission is two vector compares over the
+heads plus one :meth:`~repro.core.schedule.SlotSchedule.place_latest_min_many`.
 
 At saturation with slack ``S`` the expected bandwidth drops from ``H(n)``
 to ``H(n + S) − H(S)`` (each segment ``j`` broadcast every ``j + S``
@@ -56,6 +55,8 @@ import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..sim.slotted import SlottedModel
 from .client import ClientPlan
@@ -63,6 +64,9 @@ from .schedule import SlotSchedule
 
 #: ``(requests_per_slot_threshold, slack_slots)`` rungs, ascending.
 SlackLadder = Tuple[Tuple[float, int], ...]
+
+#: Head-index entry of a segment with no future instance.
+_NO_INSTANCE = np.iinfo(np.int64).max
 
 
 def default_slack_ladder(n_segments: int) -> SlackLadder:
@@ -220,9 +224,10 @@ class AdaptiveDHBProtocol(SlottedModel):
         self.retunes: List[RetuneEvent] = []
         self._estimator = SlotRateEstimator(alpha)
         self._epoch: Optional[int] = None
-        # Per-segment sorted future instance slots (see module docstring for
-        # why next_transmissions is not sufficient under shrinking windows).
+        # Sorted future instance slots per segment; _head[j-1] is S_j's first.
         self._future: List[List[int]] = [[] for _ in range(self.n_segments)]
+        self._head = np.full(self.n_segments, _NO_INSTANCE, dtype=np.int64)
+        self._segments = np.arange(1, self.n_segments + 1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Retuning
@@ -266,42 +271,45 @@ class AdaptiveDHBProtocol(SlottedModel):
     # Admission
     # ------------------------------------------------------------------
 
-    def _admit(self, slot: int, plan: Optional[ClientPlan]) -> int:
-        """One logical admission under the current slack; returns placements."""
-        schedule = self.schedule
-        slack = self.slack
-        placed = 0
-        for segment in range(1, self.n_segments + 1):
-            future = self._future[segment - 1]
-            if future:
-                # Prune instances at or before `slot`: transmitted already
-                # (or transmitting now — arrivals during a slot cannot
-                # receive that same slot, exactly as in static DHB).
-                drop = bisect.bisect_right(future, slot)
-                if drop:
-                    del future[:drop]
-            window_end = slot + segment + slack
-            if future and future[0] <= window_end:
-                if plan is not None:
-                    plan.assign(segment, future[0], shared=True)
-                continue
-            chosen = schedule.place_latest_min(slot + 1, window_end, segment)
-            bisect.insort(future, chosen)
-            placed += 1
-            if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        return placed
+    def _admit(self, slot: int, count: int, plan: Optional[ClientPlan]) -> None:
+        """Admit ``count`` same-slot requests under the slot's slack.
+
+        Refreshes expired heads, then places every segment whose head lies
+        beyond ``slot + j + S``, in ascending order with live loads (the
+        per-segment loop, bit for bit); a new instance becomes the head.
+        """
+        self._maybe_retune(slot)
+        self._estimator.add(slot, count)
+        head = self._head
+        future = self._future
+        for offset in (head <= slot).nonzero()[0].tolist():
+            instances = future[offset]
+            del instances[: bisect.bisect_right(instances, slot)]
+            head[offset] = instances[0] if instances else _NO_INSTANCE
+        last = slot + self.slack  # S_j's window ends at last + j
+        offsets = (head > self._segments + last).nonzero()[0].tolist()
+        if offsets:
+            chosen = self.schedule.place_latest_min_many(
+                slot + 1,
+                [last + offset + 1 for offset in offsets],
+                [offset + 1 for offset in offsets],
+            )
+            for offset, instance in zip(offsets, chosen):
+                future[offset].insert(0, instance)
+                head[offset] = instance
+        if plan is not None:
+            placed = set(offsets)
+            for offset, instance in enumerate(head.tolist()):
+                plan.assign(offset + 1, instance, shared=offset not in placed)
+        self.requests_admitted += count
+        if self.metrics is not None:
+            self.metrics.counter("protocol.requests").inc(count)
+            self.metrics.counter("protocol.instances_scheduled").inc(len(offsets))
 
     def handle_request(self, slot: int) -> Optional[ClientPlan]:
         """Admit one request arriving during ``slot``."""
-        self._maybe_retune(slot)
-        self._estimator.add(slot, 1)
         plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        placed = self._admit(slot, plan)
-        self.requests_admitted += 1
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc()
-            self.metrics.counter("protocol.instances_scheduled").inc(placed)
+        self._admit(slot, 1, plan)
         if plan is not None:
             self.clients.append(plan)
             self.client_slacks.append(self.slack)
@@ -316,19 +324,11 @@ class AdaptiveDHBProtocol(SlottedModel):
         only at the first admission of an epoch) — so requests 2..count
         share everything.  Bit-for-bit equal to ``count`` scalar calls.
         """
-        if count <= 0:
-            return
         if self.track_clients:
             for _ in range(count):
                 self.handle_request(slot)
-            return
-        self._maybe_retune(slot)
-        self._estimator.add(slot, count)
-        placed = self._admit(slot, None)
-        self.requests_admitted += count
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc(count)
-            self.metrics.counter("protocol.instances_scheduled").inc(placed)
+        elif count > 0:
+            self._admit(slot, count, None)
 
     # ------------------------------------------------------------------
     # SlottedModel surface
@@ -347,8 +347,8 @@ class AdaptiveDHBProtocol(SlottedModel):
     def release_before(self, slot: int) -> None:
         """Garbage-collect schedule bookkeeping for slots ``< slot``.
 
-        The future lists prune themselves lazily at admission time, so
-        only the schedule store needs compacting here.
+        Expired heads are pruned lazily at admission time, so only the
+        schedule store needs compacting here.
         """
         self.schedule.release_before(slot)
 

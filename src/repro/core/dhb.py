@@ -184,10 +184,12 @@ class DHBProtocol(SlottedModel):
             placed = 0
             if offsets.size:
                 segments = [offset + first_segment for offset in offsets.tolist()]
-                placed = schedule.place_latest_min_many(
-                    slot + 1,
-                    [slot + periods[segment - 1] for segment in segments],
-                    segments,
+                placed = len(
+                    schedule.place_latest_min_many(
+                        slot + 1,
+                        [slot + periods[segment - 1] for segment in segments],
+                        segments,
+                    )
                 )
             self._count(count, placed)
             return None

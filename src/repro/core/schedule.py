@@ -333,7 +333,7 @@ class SlotSchedule:
 
     def place_latest_min_many(
         self, first_slot: int, last_slots: Sequence[int], segments: Sequence[int]
-    ) -> int:
+    ) -> List[int]:
         """Fused admission loop: one :meth:`place_latest_min` per window.
 
         Places ``segments[k]`` at the least-loaded/latest slot of
@@ -342,7 +342,7 @@ class SlotSchedule:
         individual :meth:`place_latest_min` calls, but with the bounds
         validation and capacity reservation hoisted out of the loop: one
         ``_ensure_capacity`` for the largest window covers every placement.
-        Returns the number of instances placed.
+        Returns the chosen slots, ``result[k]`` for ``segments[k]``.
 
         This is the admission kernel of the batched protocols: a whole
         slot's worth of requests reduces (via the sharing invariant) to one
@@ -353,7 +353,7 @@ class SlotSchedule:
                 f"{len(last_slots)} windows for {len(segments)} segments"
             )
         if not segments:
-            return 0
+            return []
         for segment in segments:
             if not 1 <= segment <= self.n_segments:
                 self._check_segment(segment)
@@ -375,6 +375,7 @@ class SlotSchedule:
         next_tx = self._next_tx
         base = self._base
         low = first_slot - base
+        chosen_slots: List[int] = []
         for last_slot, segment in zip(last_slots, segments):
             if last_slot < first_slot:
                 raise SchedulingError(
@@ -401,9 +402,9 @@ class SlotSchedule:
                 bucket.append(segment)
             if chosen > next_tx[segment - 1]:
                 next_tx[segment - 1] = chosen
-        placed = len(segments)
-        self._total_instances += placed
-        return placed
+            chosen_slots.append(chosen)
+        self._total_instances += len(segments)
+        return chosen_slots
 
     def release_before(self, slot: int) -> None:
         """Drop per-slot bookkeeping for slots ``< slot`` (bounded memory).

@@ -27,7 +27,8 @@ Two execution paths produce bit-for-bit identical results:
 Waiting-time statistics stream in bounded memory on both paths: a running
 sum/max (bit-identical to the list-based fold they replaced) plus a
 fixed-size :class:`~repro.sim.sketches.BinnedQuantileSketch` over ``[0, d]``
-for the tail (p50/p99).
+for the tail (p50/p99).  The columnar path folds them after its slot loop,
+from the trace alone and in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,6 +173,11 @@ class SlottedResult:
 #: Bins of the waiting-time sketch: slot-duration / WAIT_SKETCH_BINS of
 #: quantile resolution (a few milliseconds at figure-7 slot lengths).
 WAIT_SKETCH_BINS = 2048
+
+#: Arrivals per chunk of the columnar path's wait fold: large enough to
+#: amortise NumPy call overhead, small enough to keep the fold's
+#: temporaries at a few MB however long the trace.
+WAIT_FOLD_CHUNK = 1 << 16
 
 
 class SlottedSimulation:
@@ -351,10 +357,10 @@ class SlottedSimulation:
         """Batched delivery: one :meth:`SlottedModel.handle_batch` per slot.
 
         The whole trace is bucketed into slots with a single
-        ``np.searchsorted`` against the slot boundaries; waiting times are
-        accumulated per batch with a running-sum continuation (``cumsum``
-        seeded with the running total is the same left-to-right fold the
-        scalar path performs, so the mean is bit-for-bit identical).
+        ``np.searchsorted`` against the slot boundaries, and the slot loop
+        pays only for admission and load recording.  A slotted wait is
+        ``boundary(slot) - t`` whatever the protocol does, so the waits are
+        folded afterwards from the trace alone (:meth:`_fold_waits`).
         Memory stays bounded: no per-request Python objects, a fixed-size
         wait sketch, and the protocol releases slots as the loop advances.
         """
@@ -367,7 +373,6 @@ class SlottedSimulation:
             warmup, keep_series=self.keep_series, registry=metrics
         )
         weight_stats = OnlineStats()
-        wait_sketch = BinnedQuantileSketch(d, WAIT_SKETCH_BINS)
         if metrics is not None:
             protocol.bind_metrics(metrics)
             run_span = metrics.timer("sim.run_seconds").time()
@@ -377,8 +382,8 @@ class SlottedSimulation:
         # (int -> float64 conversion then one multiply); cuts[s] counts the
         # arrivals strictly before the end of slot s.
         boundaries = np.arange(1, horizon + 1, dtype=np.int64) * d
-        cuts = np.searchsorted(arrivals, boundaries, side="left").tolist()
-        n_within = cuts[-1]
+        cuts = np.searchsorted(arrivals, boundaries, side="left")
+        n_within = int(cuts[-1])
         # Arrivals before the simulated epoch (t < 0) land in slot 0's
         # bucket but are never delivered — same rule as the scalar loop.
         ignored = int(np.searchsorted(arrivals, 0.0, side="left"))
@@ -389,42 +394,24 @@ class SlottedSimulation:
         slot_weight = protocol.slot_weight
         handle_batch = protocol.handle_batch
         release_before = protocol.release_before
-        sketch_add_array = wait_sketch.add_array
-        wait_sum = 0.0
-        wait_max = 0.0
-        measured_requests = 0
         begin = ignored
-        for slot in range(horizon):
+        for slot, end in enumerate(cuts.tolist()):
             record(slot, slot_load(slot))
             if slot >= warmup:
                 add_weight(slot_weight(slot))
-            end = cuts[slot]
-            count = end - begin
-            if count:
-                handle_batch(slot, count)
-                if slot >= warmup:
-                    if count == 1:
-                        # Scalar shortcut: same float64 ops, no array temps.
-                        wait = float(boundaries[slot]) - float(arrivals[begin])
-                        wait_sum += wait
-                        if wait > wait_max:
-                            wait_max = wait
-                        wait_sketch.add(wait)
-                    else:
-                        waits = boundaries[slot] - arrivals[begin:end]
-                        sketch_add_array(waits)
-                        block_max = float(waits.max())
-                        if block_max > wait_max:
-                            wait_max = block_max
-                        # cumsum seeded with the running total IS the
-                        # scalar path's sequential fold, bit for bit.
-                        waits[0] += wait_sum
-                        wait_sum = float(waits.cumsum()[-1])
-                    measured_requests += count
+            if end > begin:
+                handle_batch(slot, end - begin)
                 begin = end
             release_before(slot)
 
         recorder.finish()
+        # Measured arrivals start after the warmup slots' buckets (which
+        # hold every pre-epoch arrival) or, without warmup, after those.
+        start = int(cuts[warmup - 1]) if warmup else ignored
+        wait_sketch = BinnedQuantileSketch(d, WAIT_SKETCH_BINS)
+        wait_sum, wait_max = self._fold_waits(
+            arrivals, boundaries, cuts, start, wait_sketch
+        )
         if metrics is not None:
             run_span.__exit__(None, None, None)
             metrics.counter("sim.slots").inc(horizon)
@@ -433,8 +420,40 @@ class SlottedSimulation:
             metrics.gauge("sim.warmup_slots").set(warmup)
         return self._result(
             recorder, weight_stats, wait_sketch, wait_sum, wait_max,
-            measured_requests, columnar=True,
+            n_within - start, columnar=True,
         )
+
+    @staticmethod
+    def _fold_waits(
+        arrivals: np.ndarray,
+        boundaries: np.ndarray,
+        cuts: np.ndarray,
+        start: int,
+        wait_sketch: BinnedQuantileSketch,
+    ) -> Tuple[float, float]:
+        """Sum and max of the waits of arrivals ``start .. cuts[-1] - 1``.
+
+        Runs in chunks of :data:`WAIT_FOLD_CHUNK` arrivals, in arrival
+        order.  Slot ``s`` holds arrivals ``cuts[s-1] .. cuts[s] - 1``, so
+        a chunk's boundaries are its slots' boundaries repeated by their
+        counts inside the chunk.  A ``cumsum`` seeded with the running
+        total is the same left-to-right fold the scalar path performs, so
+        the sum is bit-for-bit identical, and the sketch's counts commute.
+        """
+        wait_sum = 0.0
+        wait_max = 0.0
+        stop = int(cuts[-1])
+        for low in range(start, stop, WAIT_FOLD_CHUNK):
+            high = min(low + WAIT_FOLD_CHUNK, stop)
+            first_slot = int(np.searchsorted(cuts, low, side="right"))
+            end_slot = int(np.searchsorted(cuts, high - 1, side="right")) + 1
+            counts = np.diff(np.minimum(cuts[first_slot:end_slot], high), prepend=low)
+            waits = np.repeat(boundaries[first_slot:end_slot], counts) - arrivals[low:high]
+            wait_sketch.add_array(waits)
+            wait_max = max(wait_max, float(waits.max()))
+            waits[0] += wait_sum
+            wait_sum = float(waits.cumsum()[-1])
+        return wait_sum, wait_max
 
     def _result(
         self,

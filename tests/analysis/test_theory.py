@@ -53,6 +53,12 @@ class TestPatchingWindow:
         assert optimal_patching_window(0.0, 7200.0) == 7200.0
         assert patching_cost_rate(0.0, 7200.0) == 0.0
 
+    def test_non_finite_product_returns_the_zero_limit(self):
+        assert optimal_patching_window(math.inf, 7200.0) == 0.0
+        assert optimal_patching_window(1e305, 7200.0) == 0.0  # 2λD overflows
+        # Just below the overflow the closed form still holds, finite and > 0.
+        assert 0.0 < optimal_patching_window(1e300, 7200.0) < 1e-140
+
     def test_window_shrinks_with_rate(self):
         windows = [
             optimal_patching_window(rate / 3600.0, 7200.0)

@@ -13,11 +13,16 @@ The load-bearing properties:
    is bit-for-bit DHBProtocol.
 4. **Batch/scalar equivalence** — the batched admission path matches
    one-by-one admission exactly (schedule, retunes, counters).
+5. **Head index == per-segment bisect loop** — the vectorised admission
+   matches the original per-segment loop, kept below as an oracle.
 """
+
+import bisect
+from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptive import (
@@ -25,6 +30,7 @@ from repro.core.adaptive import (
     SlotRateEstimator,
     default_slack_ladder,
 )
+from repro.core.client import ClientPlan
 from repro.core.dhb import DHBProtocol
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
@@ -257,3 +263,176 @@ def test_repr_mentions_slack_and_retunes():
     protocol = AdaptiveDHBProtocol(10)
     text = repr(protocol)
     assert "AdaptiveDHBProtocol" in text and "slack=0" in text
+
+
+# ---------------------------------------------------------------------------
+# Head index == the per-segment bisect loop it replaced
+# ---------------------------------------------------------------------------
+
+class BisectAdaptiveDHB(AdaptiveDHBProtocol):
+    """Oracle: admission through the original per-segment bisect loop.
+
+    Retuning, the estimator and the future lists are inherited; the three
+    admission methods are the pre-head-index implementation, verbatim.
+    """
+
+    def _admit(self, slot: int, plan: Optional[ClientPlan]) -> int:
+        """One logical admission under the current slack; returns placements."""
+        schedule = self.schedule
+        slack = self.slack
+        placed = 0
+        for segment in range(1, self.n_segments + 1):
+            future = self._future[segment - 1]
+            if future:
+                # Prune instances at or before `slot`: transmitted already
+                # (or transmitting now — arrivals during a slot cannot
+                # receive that same slot, exactly as in static DHB).
+                drop = bisect.bisect_right(future, slot)
+                if drop:
+                    del future[:drop]
+            window_end = slot + segment + slack
+            if future and future[0] <= window_end:
+                if plan is not None:
+                    plan.assign(segment, future[0], shared=True)
+                continue
+            chosen = schedule.place_latest_min(slot + 1, window_end, segment)
+            bisect.insort(future, chosen)
+            placed += 1
+            if plan is not None:
+                plan.assign(segment, chosen, shared=False)
+        return placed
+
+    def handle_request(self, slot: int) -> Optional[ClientPlan]:
+        """Admit one request arriving during ``slot``."""
+        self._maybe_retune(slot)
+        self._estimator.add(slot, 1)
+        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
+        placed = self._admit(slot, plan)
+        self.requests_admitted += 1
+        if self.metrics is not None:
+            self.metrics.counter("protocol.requests").inc()
+            self.metrics.counter("protocol.instances_scheduled").inc(placed)
+        if plan is not None:
+            self.clients.append(plan)
+            self.client_slacks.append(self.slack)
+        return plan
+
+    def handle_batch(self, slot: int, count: int) -> None:
+        """Admit ``count`` same-slot requests in one batched admission."""
+        if count <= 0:
+            return
+        if self.track_clients:
+            for _ in range(count):
+                self.handle_request(slot)
+            return
+        self._maybe_retune(slot)
+        self._estimator.add(slot, count)
+        placed = self._admit(slot, None)
+        self.requests_admitted += count
+        if self.metrics is not None:
+            self.metrics.counter("protocol.requests").inc(count)
+            self.metrics.counter("protocol.instances_scheduled").inc(placed)
+
+
+#: One admission call: (slot advance, request count, batched?).
+admission_calls = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(1, 6), st.booleans()),
+    min_size=1,
+    max_size=60,
+)
+
+#: Ladders whose slack falls as the rate climbs: every busy spell retunes
+#: the slack *down* and shrinks the windows.
+falling_ladders = slack_ladders().map(
+    lambda ladder: tuple(
+        zip(
+            [t for t, _ in ladder],
+            sorted((s for _, s in ladder), reverse=True),
+        )
+    )
+)
+
+
+def assert_same_admissions(protocol, oracle, horizon):
+    assert protocol.requests_admitted == oracle.requests_admitted
+    assert protocol.retunes == oracle.retunes
+    assert protocol.slack == oracle.slack
+    assert protocol.clients == oracle.clients
+    assert protocol.client_slacks == oracle.client_slacks
+    assert protocol.schedule.total_instances == oracle.schedule.total_instances
+    for slot in range(horizon):
+        assert protocol.schedule.load(slot) == oracle.schedule.load(slot)
+        assert protocol.schedule.segments_in(slot) == oracle.schedule.segments_in(slot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    calls=admission_calls,
+    n_segments=st.integers(1, 24),
+    ladder=st.one_of(slack_ladders(), falling_ladders),
+    epoch_slots=st.integers(1, 8),
+    track_clients=st.booleans(),
+)
+@example(
+    calls=[(1, 6, True)] * 6 + [(40, 1, False), (1, 1, True), (0, 2, False)],
+    n_segments=6,
+    ladder=((0.0, 9), (1.0, 0)),
+    epoch_slots=2,
+    track_clients=True,
+)
+def test_head_index_matches_bisect_oracle(
+    calls, n_segments, ladder, epoch_slots, track_clients
+):
+    options = dict(
+        slack_ladder=ladder,
+        epoch_slots=epoch_slots,
+        alpha=0.5,
+        track_clients=track_clients,
+    )
+    protocol = AdaptiveDHBProtocol(n_segments, **options)
+    oracle = BisectAdaptiveDHB(n_segments, **options)
+    registry, oracle_registry = MetricsRegistry(), MetricsRegistry()
+    protocol.bind_metrics(registry)
+    oracle.bind_metrics(oracle_registry)
+    slot = 0
+    for advance, count, batched in calls:
+        slot += advance
+        for target in (protocol, oracle):
+            if batched:
+                target.handle_batch(slot, count)
+            else:
+                for _ in range(count):
+                    target.handle_request(slot)
+    horizon = slot + n_segments + max(s for _, s in ladder) + 2
+    assert_same_admissions(protocol, oracle, horizon)
+    assert registry.to_dict()["counters"] == oracle_registry.to_dict()["counters"]
+
+
+def test_retune_down_leaves_two_future_instances():
+    """A slack drop strands S_1's far instance; the next one goes in front."""
+    options = dict(slack_ladder=((0.0, 6), (1.0, 0)), epoch_slots=4)
+    protocol = AdaptiveDHBProtocol(4, track_clients=True, **options)
+    oracle = BisectAdaptiveDHB(4, track_clients=True, **options)
+    for target in (protocol, oracle):
+        target.handle_request(0)  # slack 6: S_1 lands at slot 7
+        for slot in range(1, 4):
+            target.handle_batch(slot, 10)
+        target.handle_request(4)  # epoch 1 retunes to slack 0
+    assert protocol.clients[0].assignments[1] == 7
+    assert [event.new_slack for event in protocol.retunes] == [0]
+    assert protocol._future[0] == [5, 7]  # two future instances of S_1
+    latest = protocol.clients[-1]
+    assert latest.assignments[1] == 5 and not latest.shared[1]
+    assert_same_admissions(protocol, oracle, 20)
+    # Slot 5 expires the near instance; 7 is still past the window (5, 6].
+    for target in (protocol, oracle):
+        target.handle_request(5)
+    assert protocol._future[0] == [6, 7]
+    assert protocol.clients[-1].assignments[1] == 6
+    # Slot 6 expires that one too; the stranded instance is shared at last.
+    for target in (protocol, oracle):
+        target.handle_request(6)
+    assert protocol._future[0] == [7]
+    latest = protocol.clients[-1]
+    assert latest.assignments[1] == 7 and latest.shared[1]
+    assert_same_admissions(protocol, oracle, 20)

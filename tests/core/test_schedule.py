@@ -219,6 +219,49 @@ def test_choose_latest_min_agrees_with_reference(instances, first, width):
 
 @given(
     instances=st.lists(
+        st.tuples(st.integers(0, 60), st.integers(1, 8)), max_size=40
+    ),
+    first=st.integers(0, 40),
+    windows=st.lists(
+        st.tuples(st.integers(0, 30), st.integers(1, 8)), min_size=1, max_size=12
+    ),
+    origin=st.sampled_from([0, 300, 1000]),
+)
+def test_place_latest_min_many_returns_the_single_call_slots(
+    instances, first, windows, origin
+):
+    """Property: the fused loop returns the slots single placements choose.
+
+    A released ``origin`` moves the load store's base off zero, so store
+    offsets and absolute slots differ.
+    """
+    fused, single = SlotSchedule(n_segments=8), SlotSchedule(n_segments=8)
+    for schedule in (fused, single):
+        schedule.release_before(origin)
+        for slot, segment in instances:
+            schedule.add(origin + slot, segment)
+    first += origin
+    last_slots = [first + width for width, _ in windows]
+    segments = [segment for _, segment in windows]
+    chosen = fused.place_latest_min_many(first, last_slots, segments)
+    assert chosen == [
+        single.place_latest_min(first, last, segment)
+        for last, segment in zip(last_slots, segments)
+    ]
+    assert all(type(slot) is int for slot in chosen)
+    for slot in range(first + 32):
+        assert fused.segments_in(slot) == single.segments_in(slot)
+    assert fused.total_instances == single.total_instances
+
+
+def test_place_latest_min_many_with_no_windows_places_nothing():
+    schedule = SlotSchedule(n_segments=2)
+    assert schedule.place_latest_min_many(1, [], []) == []
+    assert schedule.total_instances == 0
+
+
+@given(
+    instances=st.lists(
         st.tuples(st.integers(0, 200), st.integers(1, 5)), max_size=40
     ),
     floor=st.integers(0, 250),

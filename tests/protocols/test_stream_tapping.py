@@ -105,6 +105,25 @@ def test_online_rate_estimate_adapts():
     assert st.restart_window() < 3000.0
 
 
+def test_subnormal_gap_gives_a_zero_window_not_nan():
+    """A subnormal gap makes the online rate infinite; the window is its limit."""
+    st = StreamTappingProtocol(duration=100.0)
+    st.handle_request(0.0)
+    # A NaN window would let this request tap the group: [(0.0, 2.2e-311)].
+    assert st.handle_request(2.2e-311) == [(2.2e-311, 100.0)]
+    assert st.complete_streams == 2
+    assert st.restart_window() == 0.0
+
+
+def test_overflowing_rate_gives_a_zero_window_not_nan():
+    """A finite rate whose 2·λ·D overflows must not turn the window to NaN."""
+    st = StreamTappingProtocol(duration=7200.0, expected_rate_per_hour=1e308)
+    assert st.restart_window() == 0.0
+    st.handle_request(0.0)
+    assert st.handle_request(0.5) == [(0.5, 7200.5)]
+    assert st.complete_streams == 2
+
+
 def test_zero_delay():
     assert make().startup_delay(5.0) == 0.0
 

@@ -10,6 +10,7 @@ Two layers of equivalence guard the hot path:
 """
 
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 
@@ -25,7 +26,8 @@ from repro.protocols.dnpb import DynamicPagodaProtocol
 from repro.protocols.fb import FastBroadcasting
 from repro.protocols.ud import UniversalDistributionProtocol
 from repro.runtime.seeds import arrival_trace
-from repro.sim.slotted import SlottedModel, SlottedSimulation
+from repro.sim import slotted
+from repro.sim.slotted import SlottedModel, SlottedResult, SlottedSimulation
 
 N_SEGMENTS = 20
 
@@ -46,6 +48,22 @@ class LoopProtocol(SlottedModel):
     def handle_request(self, slot):
         self.calls.append(slot)
         self.loads[slot + 1] = self.loads.get(slot + 1, 0) + 1
+
+    def slot_load(self, slot):
+        return self.loads.get(slot, 0)
+
+
+class LoopCountProtocol(SlottedModel):
+    """Cheapest possible protocol: each slot carries its admission count."""
+
+    def __init__(self):
+        self.loads = {}
+
+    def handle_request(self, slot):
+        self.loads[slot + 1] = self.loads.get(slot + 1, 0) + 1
+
+    def handle_batch(self, slot, count):
+        self.loads[slot + 1] = self.loads.get(slot + 1, 0) + count
 
     def slot_load(self, slot):
         return self.loads.get(slot, 0)
@@ -103,23 +121,13 @@ def run_pair(make_protocol, arrivals, d=10.0, horizon=60, warmup=6):
 
 
 def assert_identical(columnar, scalar):
+    """Every :class:`SlottedResult` field but the path flag compares ``==``."""
     assert columnar.columnar is True
     assert scalar.columnar is False
-    for field_name in (
-        "slot_duration",
-        "slots_measured",
-        "mean_streams",
-        "max_streams",
-        "n_requests",
-        "mean_wait",
-        "max_wait",
-        "mean_weight",
-        "max_weight",
-        "series",
-        "wait_p50",
-        "wait_p99",
-    ):
-        assert getattr(columnar, field_name) == getattr(scalar, field_name), field_name
+    for field in dataclasses.fields(SlottedResult):
+        if field.name != "columnar":
+            name = field.name
+            assert getattr(columnar, name) == getattr(scalar, name), name
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOL_FACTORIES))
@@ -152,6 +160,70 @@ def test_negative_arrivals_ignored_on_both_paths():
     )
     assert_identical(columnar, scalar)
     assert columnar.n_requests == 3  # the two pre-epoch arrivals are dropped
+
+
+# -- SlottedSimulation edge cases of the trace-only wait fold ---------------
+
+
+def test_pre_epoch_arrivals_without_warmup():
+    arrivals = np.array([-40.0, -1e-9, 0.0, 0.0, 9.999, 10.0, 31.5])
+    columnar, scalar = run_pair(
+        lambda: DHBProtocol(n_segments=5), arrivals, horizon=8, warmup=0
+    )
+    assert_identical(columnar, scalar)
+    assert columnar.n_requests == 5
+    assert columnar.max_wait == 10.0  # the arrivals at t = 0 wait a full slot
+
+
+def test_every_arrival_inside_warmup():
+    arrivals = np.array([0.5, 3.0, 14.0, 14.5, 59.9])
+    columnar, scalar = run_pair(
+        lambda: DHBProtocol(n_segments=5), arrivals, horizon=12, warmup=6
+    )
+    assert_identical(columnar, scalar)
+    assert columnar.n_requests == 0
+    assert (columnar.mean_wait, columnar.max_wait) == (0.0, 0.0)
+    assert (columnar.wait_p50, columnar.wait_p99) == (0.0, 0.0)
+    assert columnar.mean_streams > 0  # the warmup admissions still load slots
+
+
+def test_arrivals_past_the_horizon_are_ignored():
+    arrivals = np.array([61.0, 75.0, 99.9, 100.0, 140.0, 1e6])
+    columnar, scalar = run_pair(
+        lambda: DHBProtocol(n_segments=5), arrivals, horizon=10, warmup=6
+    )
+    assert_identical(columnar, scalar)
+    assert columnar.n_requests == 3  # 100.0 is the horizon's boundary
+
+
+def test_single_arrival_slots():
+    arrivals = np.arange(40) * 10.0 + np.linspace(0.01, 9.99, 40)
+    columnar, scalar = run_pair(
+        lambda: DHBProtocol(n_segments=N_SEGMENTS), arrivals, horizon=50, warmup=3
+    )
+    assert_identical(columnar, scalar)
+    assert columnar.n_requests == 37
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_wait_fold_chunk_seams(monkeypatch, chunk):
+    monkeypatch.setattr(slotted, "WAIT_FOLD_CHUNK", chunk)
+    arrivals = arrival_trace(4, workload=3600.0, horizon_hours=1.0)
+    columnar, scalar = run_pair(
+        lambda: DHBProtocol(n_segments=N_SEGMENTS), arrivals[arrivals < 600.0]
+    )
+    assert_identical(columnar, scalar)
+    assert columnar.n_requests > 3 * chunk
+
+
+def test_more_measured_arrivals_than_one_chunk():
+    """The real chunk size, with seams inside slots and between them."""
+    rng = np.random.default_rng(11)
+    n_arrivals = 3 * slotted.WAIT_FOLD_CHUNK + 12_345
+    arrivals = np.sort(rng.uniform(-5.0, 205.0, n_arrivals))
+    columnar, scalar = run_pair(LoopCountProtocol, arrivals, horizon=20, warmup=2)
+    assert_identical(columnar, scalar)
+    assert columnar.n_requests > slotted.WAIT_FOLD_CHUNK * 2
 
 
 def test_trace_sink_forces_the_scalar_path():
