@@ -12,8 +12,8 @@ Degraded mode is where the paper's protocol earns its "dynamic": a crashed
 server's clients still hold playout deadlines, and every segment instance
 the dead schedule owed them must reappear on a surviving replica within the
 remaining delivery window.  DHB can do this because its state *is* a
-:class:`~repro.core.schedule.SlotSchedule` — the single-future-instance
-index enumerates exactly what was lost (:func:`lost_instances`), and the
+:class:`~repro.core.schedule.SlotSchedule` — its future-instance record
+enumerates exactly what was lost (:func:`lost_instances`), and the
 window heuristic replaces each loss with a least-loaded placement in
 ``[crash_slot, due_slot]`` (:func:`reschedule_instance`), sharing an
 already-scheduled instance on the survivor when one falls inside the
@@ -23,9 +23,9 @@ than silently dropping segments.
 
 A rescheduled instance may land *earlier* than a survivor's own future
 instance of the same segment; the survivor's schedule then briefly carries
-two future instances.  That costs a little bandwidth, never correctness —
-the index keeps pointing at the later one, so subsequent admissions still
-share it.
+two future instances.  That costs a little bandwidth, never correctness:
+the schedule records both, so later admissions still share them and a
+later crash of the survivor re-homes both.
 """
 
 from __future__ import annotations
@@ -227,10 +227,12 @@ def lost_instances(server: CappedServer, crash_slot: int) -> List[LostInstance]:
     """Enumerate the future instances a crash at ``crash_slot`` destroys.
 
     Must be called *before* :meth:`CappedServer.crash` (which discards the
-    schedules).  The single-future-instance invariant makes this a single
-    index read per (title, segment): anything at a slot ``>= crash_slot``
-    was not yet transmitted, including instances due in the crash slot
-    itself (the crash lands before that slot is finalized).
+    schedules).  Reads every future instance the schedule records per
+    (title, segment) — usually one, but a shrunk window (adaptive DHB after
+    a slack drop) or an earlier failover can leave several: anything at a
+    slot ``>= crash_slot`` was not yet transmitted, including instances due
+    in the crash slot itself (the crash lands before that slot is
+    finalized).
     """
     lost: List[LostInstance] = []
     for title in server.titles:
@@ -242,8 +244,7 @@ def lost_instances(server: CappedServer, crash_slot: int) -> List[LostInstance]:
             )
         schedule = protocol.schedule
         for segment in range(1, schedule.n_segments + 1):
-            due = schedule.next_transmission(segment)
-            if due is not None and due >= crash_slot:
+            for due in schedule.future_instances(segment, crash_slot - 1):
                 lost.append(LostInstance(title=title, segment=segment, due_slot=due))
     return lost
 
@@ -287,7 +288,7 @@ def reschedule_instance(
 
     Returns ``(slot, shared)``: if the survivor already transmits
     ``segment`` within ``[crash_slot, due_slot]`` the orphaned clients just
-    listen there (``shared=True``); otherwise the window heuristic places a
+    listen to the latest such instance (``shared=True``); otherwise the window heuristic places a
     fresh instance in the least-loaded slot of that window — which always
     exists, because the window contains at least ``crash_slot`` itself (the
     crash slot's load is not yet finalized when failover runs).
@@ -298,9 +299,9 @@ def reschedule_instance(
             "instances; degraded mode requires DHB"
         )
     schedule = protocol.schedule
-    existing = schedule.next_transmission(segment)
-    if existing is not None and crash_slot <= existing <= due_slot:
-        return existing, True
+    existing = schedule.future_instances(segment, crash_slot - 1, due_slot)
+    if existing:
+        return existing[-1], True
     return schedule.place_latest_min(crash_slot, due_slot, segment), False
 
 

@@ -1,13 +1,10 @@
 """Adaptive DHB: online retuning of the delivery windows as the rate moves.
 
 Static DHB pins each segment's delivery window to ``(i, i + T[j]]`` — one
-slot of startup wait, whatever the demand.  Under the nonstationary
-workloads the paper's introduction motivates (diurnal swings, premiere
-flash crowds, event rings) that single operating point is wrong twice a
-day: at night it hardly matters (requests are sparse, sharing is rare),
-but at the evening peak DHB transmits at its saturation bandwidth
-``H(n)`` when a slightly later playback start would cost the server a
-fraction of that.
+slot of startup wait, whatever the demand.  Under nonstationary workloads
+(diurnal swings, premiere flash crowds, event rings) that is wrong at the
+evening peak, where DHB transmits at its saturation bandwidth ``H(n)``
+when a slightly later playback start would cost a fraction of that.
 
 :class:`AdaptiveDHBProtocol` retunes with a **slack dial** instead of a
 segment-count change: at a retune the protocol switches the window vector
@@ -15,28 +12,10 @@ to ``T[j] = j + S`` for a slack of ``S`` slots, i.e. admitted clients
 defer playback start by ``S`` extra slots and every segment's window
 stretches by the same ``S``.  The segment grid — and with it the slot
 duration, the slotted timeline, and every already-scheduled instance —
-stays fixed, which is what makes the retune loss-free:
-
-* **Owed instances are never moved or dropped.**  A client admitted under
-  slack ``S0`` had every segment assigned to a concrete slot inside its
-  ``(i, i + j + S0]`` window at admission time; those instances stay in
-  the schedule untouched, so later retunes (up *or* down) cannot invalidate
-  a plan already handed out.  This is the same zero-loss invariant the
-  cluster layer's fail-over re-homing relies on.
-* **No double-scheduling.**  The protocol shares a segment whenever its
-  *earliest* future instance falls inside the current window.  A freshly
-  placed instance lands inside every later same-slot request's window, so
-  at most one instance of a segment is ever placed per admission — and
-  never twice in one slot.
-
-Why a head index instead of static DHB's
-:attr:`~repro.core.schedule.SlotSchedule.next_transmissions`?  That is the
-*latest* future instance, enough only while windows never shrink.  After a
-slack decrease a segment may hold an instance beyond the new window plus
-one inside it, so the protocol indexes each segment's *earliest* future
-instance in a NumPy array, backed by sorted lists touched only when a head
-expires or is replaced.  An admission is two vector compares over the
-heads plus one :meth:`~repro.core.schedule.SlotSchedule.place_latest_min_many`.
+stays fixed, and every already-owed instance stays in the schedule, which
+makes a retune loss-free (the invariant of :mod:`repro.core.schedule`).
+The protocol is :class:`~repro.core.dhb.DHBProtocol` with the slack as its
+window offset; it hands a client the *earliest* shareable instance.
 
 At saturation with slack ``S`` the expected bandwidth drops from ``H(n)``
 to ``H(n + S) − H(S)`` (each segment ``j`` broadcast every ``j + S``
@@ -51,22 +30,14 @@ its arrival sequence (batch and scalar drivers agree bit-for-bit).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.slotted import SlottedModel
-from .client import ClientPlan
-from .schedule import SlotSchedule
+from .dhb import DHBProtocol
 
 #: ``(requests_per_slot_threshold, slack_slots)`` rungs, ascending.
 SlackLadder = Tuple[Tuple[float, int], ...]
-
-#: Head-index entry of a segment with no future instance.
-_NO_INSTANCE = np.iinfo(np.int64).max
 
 
 def default_slack_ladder(n_segments: int) -> SlackLadder:
@@ -125,24 +96,12 @@ class SlotRateEstimator:
             raise ConfigurationError(
                 f"estimator fed slot {slot} after slot {self._slot}"
             )
-        self._fold(slot)
+        self._ewma = self._folded(slot)
+        self._slot = slot
         self._count = count
 
-    def _fold(self, new_slot: int) -> None:
-        alpha = self.alpha
-        self._ewma = alpha * self._count + (1.0 - alpha) * self._ewma
-        gap = new_slot - self._slot - 1
-        if gap > 0:
-            self._ewma *= (1.0 - alpha) ** gap
-        self._slot = new_slot
-        self._count = 0
-
-    def estimate_before(self, slot: int) -> float:
-        """The EWMA as of just before ``slot``'s own arrivals (pure)."""
-        if self._slot is None:
-            return 0.0
-        if slot <= self._slot:
-            return self._ewma
+    def _folded(self, slot: int) -> float:
+        """The EWMA with the open slot's count folded in, decayed to ``slot``."""
         alpha = self.alpha
         value = alpha * self._count + (1.0 - alpha) * self._ewma
         gap = slot - self._slot - 1
@@ -150,8 +109,16 @@ class SlotRateEstimator:
             value *= (1.0 - alpha) ** gap
         return value
 
+    def estimate_before(self, slot: int) -> float:
+        """The EWMA as of just before ``slot``'s own arrivals (pure)."""
+        if self._slot is None:
+            return 0.0
+        if slot <= self._slot:
+            return self._ewma
+        return self._folded(slot)
 
-class AdaptiveDHBProtocol(SlottedModel):
+
+class AdaptiveDHBProtocol(DHBProtocol):
     """DHB with an epoch-retuned slack dial (see module docstring).
 
     Parameters
@@ -169,15 +136,14 @@ class AdaptiveDHBProtocol(SlottedModel):
     alpha:
         EWMA smoothing factor of the rate estimator.
     track_clients:
-        Keep every admitted request's
-        :class:`~repro.core.client.ClientPlan`, plus the parallel
-        :attr:`client_slacks` list recording the slack each client was
-        admitted under (property tests replay the deadline windows from
-        these).
+        Keep every admitted request's plan, plus the parallel
+        :attr:`client_slacks` (the slack each client was admitted under).
 
     With a single-rung ladder ``((0.0, 0),)`` the protocol *is* static
     DHB, schedule-for-schedule — the equivalence test pins that.
     """
+
+    fixed_windows = False
 
     def __init__(
         self,
@@ -209,25 +175,17 @@ class AdaptiveDHBProtocol(SlottedModel):
             )
         if any(s < 0 for _, s in ladder):
             raise ConfigurationError("slack values must be >= 0")
-        self.n_segments = int(n_segments)
+        super().__init__(n_segments, track_clients=track_clients)
         self.slack_ladder: SlackLadder = ladder
         self.max_slack = max(s for _, s in ladder)
         self.epoch_slots = int(epoch_slots)
-        self.schedule = SlotSchedule(self.n_segments)
-        self.track_clients = track_clients
-        self.clients: List[ClientPlan] = []
         #: Slack each tracked client was admitted under (parallel to clients).
         self.client_slacks: List[int] = []
-        self.requests_admitted = 0
         self.slack = ladder[0][1]
         self.max_slack_used = self.slack
         self.retunes: List[RetuneEvent] = []
         self._estimator = SlotRateEstimator(alpha)
         self._epoch: Optional[int] = None
-        # Sorted future instance slots per segment; _head[j-1] is S_j's first.
-        self._future: List[List[int]] = [[] for _ in range(self.n_segments)]
-        self._head = np.full(self.n_segments, _NO_INSTANCE, dtype=np.int64)
-        self._segments = np.arange(1, self.n_segments + 1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Retuning
@@ -268,88 +226,38 @@ class AdaptiveDHBProtocol(SlottedModel):
                 self.metrics.counter("protocol.retunes").inc()
 
     # ------------------------------------------------------------------
-    # Admission
+    # Admission hooks of DHBProtocol._admit
     # ------------------------------------------------------------------
 
-    def _admit(self, slot: int, count: int, plan: Optional[ClientPlan]) -> None:
-        """Admit ``count`` same-slot requests under the slot's slack.
+    def _open_admission(self, slot: int, first_segment: int, count: int) -> int:
+        """Retune, feed the estimator, and stretch every window by the slack.
 
-        Refreshes expired heads, then places every segment whose head lies
-        beyond ``slot + j + S``, in ascending order with live loads (the
-        per-segment loop, bit for bit); a new instance becomes the head.
+        Retunes fire only at an epoch's first admission, never mid-slot, so
+        batched admission stays bit-for-bit the scalar loop.
         """
         self._maybe_retune(slot)
         self._estimator.add(slot, count)
-        head = self._head
-        future = self._future
-        for offset in (head <= slot).nonzero()[0].tolist():
-            instances = future[offset]
-            del instances[: bisect.bisect_right(instances, slot)]
-            head[offset] = instances[0] if instances else _NO_INSTANCE
-        last = slot + self.slack  # S_j's window ends at last + j
-        offsets = (head > self._segments + last).nonzero()[0].tolist()
-        if offsets:
-            chosen = self.schedule.place_latest_min_many(
-                slot + 1,
-                [last + offset + 1 for offset in offsets],
-                [offset + 1 for offset in offsets],
-            )
-            for offset, instance in zip(offsets, chosen):
-                future[offset].insert(0, instance)
-                head[offset] = instance
-        if plan is not None:
-            placed = set(offsets)
-            for offset, instance in enumerate(head.tolist()):
-                plan.assign(offset + 1, instance, shared=offset not in placed)
-        self.requests_admitted += count
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc(count)
-            self.metrics.counter("protocol.instances_scheduled").inc(len(offsets))
-
-    def handle_request(self, slot: int) -> Optional[ClientPlan]:
-        """Admit one request arriving during ``slot``."""
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        self._admit(slot, 1, plan)
-        if plan is not None:
-            self.clients.append(plan)
-            self.client_slacks.append(self.slack)
-        return plan
-
-    def handle_batch(self, slot: int, count: int) -> None:
-        """Admit ``count`` same-slot requests in one batched admission.
-
-        The first admission leaves every segment with a future instance
-        inside ``(slot, slot + j + S]`` — inside every later same-slot
-        request's window (the slack cannot change mid-slot: retunes fire
-        only at the first admission of an epoch) — so requests 2..count
-        share everything.  Bit-for-bit equal to ``count`` scalar calls.
-        """
         if self.track_clients:
-            for _ in range(count):
-                self.handle_request(slot)
-        elif count > 0:
-            self._admit(slot, count, None)
+            self.client_slacks.extend([self.slack] * count)
+        return self.slack
+
+    def _pick_shared(
+        self, instances: List[int], receptions: Dict[int, int]
+    ) -> Optional[int]:
+        """The earliest instance inside the window."""
+        return instances[0] if instances else None
 
     # ------------------------------------------------------------------
-    # SlottedModel surface
+    # SlottedModel surface (defined here, not inherited: the perfbench
+    # ledger counts these calls per class)
     # ------------------------------------------------------------------
 
     def slot_load(self, slot: int) -> int:
         """Segment instances transmitted during ``slot``."""
         return self.schedule.load(slot)
 
-    def slot_weight(self, slot: int) -> float:
-        return self.schedule.weight(slot)
-
-    def slot_instances(self, slot: int) -> List[int]:
-        return self.schedule.segments_in(slot)
-
     def release_before(self, slot: int) -> None:
-        """Garbage-collect schedule bookkeeping for slots ``< slot``.
-
-        Expired heads are pruned lazily at admission time, so only the
-        schedule store needs compacting here.
-        """
+        """Garbage-collect schedule bookkeeping for slots ``< slot``."""
         self.schedule.release_before(slot)
 
     @property

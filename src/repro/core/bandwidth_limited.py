@@ -9,9 +9,9 @@ segments in the same slot; skyscraper-family protocols cap that at two.
 ``client_cap`` segments during any one slot.  Consequences for scheduling:
 
 * an otherwise-shareable instance is useless to a client whose cap is
-  already exhausted in that slot, so the single-future-instance invariant of
-  base DHB no longer holds — the schedule may legitimately carry *duplicate*
-  future instances of a segment;
+  already exhausted in that slot, so the schedule may legitimately carry
+  *duplicate* future instances of a segment (recorded as described in
+  :mod:`repro.core.schedule`);
 * a new instance must be placed in a window slot where the client still has
   reception capacity.
 
@@ -26,18 +26,15 @@ the deadline or the cap.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Union
 
 from ..errors import ConfigurationError, SchedulingError
-from ..sim.slotted import SlottedModel
-from .client import ClientPlan
+from .dhb import DHBProtocol
 from .heuristic import SlotChooser, latest_min_load_chooser
 from .periods import PeriodVector
-from .schedule import SlotSchedule
 
 
-class BandwidthLimitedDHB(SlottedModel):
+class BandwidthLimitedDHB(DHBProtocol):
     """DHB with at most ``client_cap`` concurrent receptions per client.
 
     Parameters
@@ -72,81 +69,40 @@ class BandwidthLimitedDHB(SlottedModel):
     ):
         if client_cap < 1:
             raise ConfigurationError(f"client_cap must be >= 1, got {client_cap}")
-        if periods is None:
-            if n_segments is None:
-                raise ConfigurationError("give n_segments or an explicit periods vector")
-            periods = PeriodVector.uniform(n_segments)
-        elif not isinstance(periods, PeriodVector):
-            periods = PeriodVector(periods)
-        self.periods = periods
+        super().__init__(
+            n_segments if periods is None else None,
+            periods,
+            chooser,
+            track_clients=track_clients,
+        )
         self.client_cap = int(client_cap)
-        self.chooser = chooser
-        self.schedule = SlotSchedule(periods.n_segments)
-        # Per-segment sorted future-instance slots (duplicates possible here).
-        self._future: List[List[int]] = [[] for _ in range(periods.n_segments)]
-        self.track_clients = track_clients
-        self.clients: List[ClientPlan] = []
-        self.requests_admitted = 0
 
-    @property
-    def n_segments(self) -> int:
-        """Number of segments ``n``."""
-        return self.periods.n_segments
-
-    def _prune_past(self, segment: int, slot: int) -> None:
-        """Drop recorded instances of ``segment`` at slots ``<= slot``."""
-        instances = self._future[segment - 1]
-        cut = bisect_right(instances, slot)
-        if cut:
-            del instances[:cut]
-
-    def _shareable_slot(
-        self, segment: int, window_start: int, window_end: int, usage: Dict[int, int]
+    def _pick_shared(
+        self, instances: List[int], receptions: Dict[int, int]
     ) -> Optional[int]:
-        """Latest instance of ``segment`` in the window with client capacity."""
-        instances = self._future[segment - 1]
-        lo = bisect_left(instances, window_start)
-        hi = bisect_right(instances, window_end)
-        for index in range(hi - 1, lo - 1, -1):
-            slot = instances[index]
-            if usage.get(slot, 0) < self.client_cap:
+        """Latest instance in the window where the client has capacity."""
+        for slot in reversed(instances):
+            if receptions.get(slot, 0) < self.client_cap:
                 return slot
         return None
 
-    def handle_request(self, slot: int) -> Optional[ClientPlan]:
-        """Admit a request arriving during ``slot`` under the receive cap."""
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        usage: Dict[int, int] = {}
-        for segment in range(1, self.n_segments + 1):
-            self._prune_past(segment, slot)
-            window_start = slot + 1
-            window_end = slot + self.periods[segment]
-            shared_slot = self._shareable_slot(segment, window_start, window_end, usage)
-            if shared_slot is not None:
-                usage[shared_slot] = usage.get(shared_slot, 0) + 1
-                if plan is not None:
-                    plan.assign(segment, shared_slot, shared=True)
-                continue
-            feasible = [
-                k
-                for k in range(window_start, window_end + 1)
-                if usage.get(k, 0) < self.client_cap
-            ]
-            if not feasible:
-                raise SchedulingError(
-                    f"client cap {self.client_cap} leaves no feasible slot for "
-                    f"S{segment} in window [{window_start}, {window_end}]"
-                )
-            chosen = self._choose_among(feasible)
-            self.schedule.add(chosen, segment)
-            insort(self._future[segment - 1], chosen)
-            usage[chosen] = usage.get(chosen, 0) + 1
-            if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        self.requests_admitted += 1
-        if plan is not None:
-            self.clients.append(plan)
-        return plan
+    def _place(
+        self, segment: int, first_slot: int, last_slot: int, receptions: Dict[int, int]
+    ) -> int:
+        """Place ``segment`` in a window slot with spare client capacity."""
+        feasible = [
+            k
+            for k in range(first_slot, last_slot + 1)
+            if receptions.get(k, 0) < self.client_cap
+        ]
+        if not feasible:
+            raise SchedulingError(
+                f"client cap {self.client_cap} leaves no feasible slot for "
+                f"S{segment} in window [{first_slot}, {last_slot}]"
+            )
+        chosen = self._choose_among(feasible)
+        self.schedule.add(chosen, segment, first_slot)
+        return chosen
 
     def _choose_among(self, feasible_slots: List[int]) -> int:
         """Apply the heuristic over a possibly non-contiguous slot set.
@@ -156,7 +112,6 @@ class BandwidthLimitedDHB(SlottedModel):
         tie-break by scanning in the chooser's preferred direction (latest
         first for the default heuristic).
         """
-        # Evaluate loads once; pick per the paper's rule among feasible slots.
         best_slot = feasible_slots[-1]
         best_load = self.schedule.load(best_slot)
         for slot in reversed(feasible_slots[:-1]):
@@ -175,14 +130,6 @@ class BandwidthLimitedDHB(SlottedModel):
                 self.schedule.load, feasible_slots[0], feasible_slots[-1]
             )
         return best_slot
-
-    def slot_load(self, slot: int) -> int:
-        """Segment instances transmitted during ``slot``."""
-        return self.schedule.load(slot)
-
-    def release_before(self, slot: int) -> None:
-        """Garbage-collect schedule bookkeeping for slots ``< slot``."""
-        self.schedule.release_before(slot)
 
     def __repr__(self) -> str:
         return (

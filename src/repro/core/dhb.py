@@ -19,11 +19,25 @@ Algorithm, verbatim from the paper::
 Section 4 replaces the window bound ``i + j`` by ``i + T[j]`` for compressed
 video; the uniform CBR case is just ``T[j] = j``.  The heuristic is pluggable
 (see :mod:`repro.core.heuristic`) so the ablation benches can swap it.
+
+:meth:`DHBProtocol._admit` is the one admission routine of every DHB
+variant, over the future-instance record of :mod:`repro.core.schedule`.
+Window ends are ``i + T[j]`` plus a per-admission offset, floored at
+``i + 1``; the variants override only its hooks:
+
+* :class:`~repro.core.adaptive.AdaptiveDHBProtocol` adds its slack and
+  hands out the earliest shareable instance;
+* :class:`~repro.core.interactive.InteractiveDHB` gives a resume at
+  ``S_j0`` the windows ``max(T[j] - T[j0] + 1, 1)``;
+* :class:`~repro.core.bandwidth_limited.BandwidthLimitedDHB` filters the
+  shared instances and the placement slots by its receive cap.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..sim.slotted import SlottedModel
@@ -77,6 +91,13 @@ class DHBProtocol(SlottedModel):
     {1: 4, 2: 5}
     """
 
+    #: Windows never shorter than an earlier admission's (the paper's fixed
+    #: ``T[j]``): a future latest instance is then always shareable.
+    fixed_windows = True
+
+    #: Segments a client may receive per slot; ``None`` is unbounded.
+    client_cap: Optional[int] = None
+
     def __init__(
         self,
         n_segments: Optional[int] = None,
@@ -105,6 +126,7 @@ class DHBProtocol(SlottedModel):
         self.clients: List[ClientPlan] = []
         self.requests_admitted = 0
         self._period_list = periods.as_list()
+        self._periods_np = np.asarray(self._period_list, dtype=np.int64)
 
     @property
     def n_segments(self) -> int:
@@ -123,15 +145,11 @@ class DHBProtocol(SlottedModel):
     ) -> Optional[ClientPlan]:
         """Admit a client that already holds segments ``1 .. first_segment-1``.
 
-        The origin→edge hierarchy (:mod:`repro.edge`) serves video prefixes
-        from edge caches; the client joining the origin broadcast only needs
-        the *suffix*, so Figure 6's loop runs over segments
-        ``first_segment .. n`` with unchanged per-segment windows (segment
-        ``j`` is still due ``T[j]`` slots after the join) — the paper's
-        sharing rule applies to suffix joins for free.  ``first_segment = 1``
-        is exactly :meth:`handle_request`; ``first_segment`` past the last
-        segment is a configuration error (a fully cached title never joins
-        the origin).
+        The origin→edge hierarchy (:mod:`repro.edge`) serves prefixes from
+        edge caches, so Figure 6 runs over ``first_segment .. n`` only, with
+        unchanged windows (``S_j`` is still due ``T[j]`` slots after the
+        join).  ``first_segment = 1`` is exactly :meth:`handle_request`; a
+        fully cached title (past the last segment) never joins the origin.
         """
         if first_segment > self.n_segments:
             raise ConfigurationError(
@@ -143,84 +161,116 @@ class DHBProtocol(SlottedModel):
     def handle_batch(self, slot: int, count: int) -> None:
         """Admit ``count`` same-slot requests in one batched admission.
 
-        Sharing collapses a slot's batch to a single admission: the first
-        request leaves every segment with a scheduled instance inside
-        ``(slot, slot + T[j]]`` — inside every later same-slot request's
-        window — so requests 2..count share everything and schedule
-        nothing.  Observably identical to ``count`` repeated
-        :meth:`handle_request` calls (schedule, counters, metrics), at the
-        cost of one.
-
-        Configurations outside the fused fast path (custom choosers,
-        sharing disabled, client tracking) fall back to the scalar loop,
-        whose semantics genuinely differ per request.
+        The first request leaves every segment an instance inside every
+        later same-slot request's window, so requests 2..count share
+        everything: observably identical to ``count`` :meth:`handle_request`
+        calls (schedule, counters, metrics) at the cost of one.
+        Configurations outside the vectorised path run the scalar loop.
         """
         if count > 0:
             self._admit(slot, 1, count)
+
+    def _open_admission(self, slot: int, first_segment: int, count: int) -> int:
+        """Start an admission of ``count`` requests; return its window offset.
+
+        The offset is added to every window end ``slot + T[j]``; the paper's
+        DHB adds nothing.  Called once per :meth:`_admit`.
+        """
+        return 0
 
     def _admit(
         self, slot: int, first_segment: int, count: int
     ) -> Optional[ClientPlan]:
         """Figure 6 over segments ``first_segment .. n`` for ``count`` requests.
 
-        When the chooser is the paper's default rule, sharing is on and no
-        plans are kept, admission is vectorised: one compare over the
-        future-instance index finds the segments with no shareable future
-        instance (at saturation only ~H(n) of n qualify), and the fused
-        window-min kernel (:meth:`SlotSchedule.place_latest_min_many`)
-        places them in ascending segment order, reading loads live — so the
-        schedule is bit-for-bit the generic loop's.  Every other
-        configuration runs the generic loop once per request; custom
-        :class:`SlotChooser` callables see identical semantics there.
+        ``S_j``'s window is ``[slot + 1, slot + max(T[j] + offset, 1)]``.
+        With the default chooser, sharing on, no plans kept and no receive
+        cap, admission is vectorised: compares over the latest-instance
+        index find the segments with no shareable instance (~H(n) of n at
+        saturation; one compare under :attr:`fixed_windows`, else a latest
+        instance past its window defers to the side table), and
+        :meth:`SlotSchedule.place_latest_min_many` places them in ascending
+        segment order with live loads — bit-for-bit the generic loop, which
+        every other configuration runs once per request.
         """
         schedule = self.schedule
         periods = self._period_list
-        fused = self.chooser is latest_min_load_chooser
-        if fused and self.enable_sharing and not self.track_clients:
-            index = schedule.next_transmissions
-            if first_segment > 1:  # no view on the batched S_1 hot path
-                index = index[first_segment - 1 :]
-            offsets = (index <= slot).nonzero()[0]
-            placed = 0
-            if offsets.size:
-                segments = [offset + first_segment for offset in offsets.tolist()]
-                placed = len(
-                    schedule.place_latest_min_many(
-                        slot + 1,
-                        [slot + periods[segment - 1] for segment in segments],
-                        segments,
+        offset = self._open_admission(slot, first_segment, count)
+        if (
+            self.chooser is latest_min_load_chooser
+            and self.enable_sharing
+            and not self.track_clients
+            and self.client_cap is None
+        ):
+            first = first_segment - 1
+            latest = schedule.next_transmissions
+            if first:  # no view on the batched S_1 hot path
+                latest = latest[first:]
+            missing = latest <= slot
+            base = slot + offset
+            if not self.fixed_windows:
+                windows = self._periods_np[first:] + base
+                if offset < 0:
+                    np.maximum(windows, slot + 1, out=windows)
+                # A latest instance past its window: look for an earlier one.
+                for index in (latest > windows).nonzero()[0].tolist():
+                    missing[index] = not schedule.has_instance_within(
+                        first_segment + index, slot + 1, int(windows[index])
                     )
+            indices = missing.nonzero()[0].tolist()
+            if indices:
+                ends = [base + periods[first + index] for index in indices]
+                if offset < 0:
+                    ends = [max(end, slot + 1) for end in ends]
+                schedule.place_latest_min_many(
+                    slot + 1, ends, [first_segment + index for index in indices]
                 )
-            self._count(count, placed)
+            self._count(count, len(indices))
             return None
         plan = None
         for _ in range(count):
             plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
+            receptions: Dict[int, int] = {}
             instances_before = schedule.total_instances
             for segment in range(first_segment, self.n_segments + 1):
-                existing = (
-                    schedule.next_transmission(segment)
+                window_end = slot + max(periods[segment - 1] + offset, 1)
+                chosen = (
+                    self._pick_shared(
+                        schedule.future_instances(segment, slot, window_end),
+                        receptions,
+                    )
                     if self.enable_sharing
                     else None
                 )
-                if existing is not None and existing > slot:
-                    # The single-future-instance invariant guarantees
-                    # existing <= slot + T[segment], so it is shareable.
-                    if plan is not None:
-                        plan.assign(segment, existing, shared=True)
-                    continue
-                window_end = slot + periods[segment - 1]
-                if fused:
-                    chosen = schedule.choose_latest_min(slot + 1, window_end)
-                else:
-                    chosen = self.chooser(schedule.load, slot + 1, window_end)
-                schedule.add(chosen, segment)
+                shared = chosen is not None
+                if not shared:
+                    chosen = self._place(segment, slot + 1, window_end, receptions)
+                receptions[chosen] = receptions.get(chosen, 0) + 1
                 if plan is not None:
-                    plan.assign(segment, chosen, shared=False)
+                    plan.assign(segment, chosen, shared=shared)
             self._count(1, schedule.total_instances - instances_before)
             if plan is not None:
                 self.clients.append(plan)
         return plan
+
+    def _pick_shared(
+        self, instances: List[int], receptions: Dict[int, int]
+    ) -> Optional[int]:
+        """The instance to share among those in the window (ascending), if any.
+
+        ``receptions`` counts the client's receptions per slot so far.
+        """
+        return instances[-1] if instances else None
+
+    def _place(
+        self, segment: int, first_slot: int, last_slot: int, receptions: Dict[int, int]
+    ) -> int:
+        """Schedule a new instance of ``segment`` in the window; return its slot."""
+        if self.chooser is latest_min_load_chooser:
+            return self.schedule.place_latest_min(first_slot, last_slot, segment)
+        chosen = self.chooser(self.schedule.load, first_slot, last_slot)
+        self.schedule.add(chosen, segment, first_slot)
+        return chosen
 
     def _count(self, requests: int, placed: int) -> None:
         """Record ``requests`` admissions that scheduled ``placed`` instances."""
@@ -248,6 +298,6 @@ class DHBProtocol(SlottedModel):
     def __repr__(self) -> str:
         kind = "uniform" if self.periods.is_uniform else "custom-periods"
         return (
-            f"DHBProtocol(n_segments={self.n_segments}, {kind}, "
+            f"{type(self).__name__}(n_segments={self.n_segments}, {kind}, "
             f"requests={self.requests_admitted})"
         )

@@ -1,39 +1,51 @@
 """The slotted transmission schedule.
 
 :class:`SlotSchedule` is the single mutable data structure behind every
-dynamic slotted protocol here (DHB, UD, dynamic NPB).  It records which
-segment instances are transmitted in which slot and answers the two queries
-the schedulers need:
+dynamic slotted protocol here (DHB and its variants, UD, dynamic NPB).  It
+records which segment instances are transmitted in which slot, and it holds
+the only record of each segment's *future instances*:
+``next_transmission(s)`` gives the latest one, ``future_instances`` all of
+them in a slot range.
 
-* ``load(slot)`` — how many instances (= data streams of bandwidth ``b``)
-  slot already carries, and
-* ``next_transmission(segment)`` — the slot of the segment's only scheduled
-  future instance, if any.
+**The future-instance invariant.**  A window-based scheduler gives a
+request arriving during slot ``i`` a window ``(i, i + W_j]`` per segment
+``S_j``, shares a recorded instance inside it, and places a new one inside
+it only when there is none.  Hence:
 
-The second query exploits a structural invariant of window-based sharing
-protocols: as long as every request checks the window ``[i+1, i+T[j]]``
-before scheduling ``S_j``, **at most one instance of each segment is ever
-scheduled in the strict future**.  (Any previous request arrived at some
-``i' <= i`` and placed its instance at ``k <= i' + T[j] <= i + T[j]``; if
-``k > i`` that instance lies inside the new request's window and is shared
-instead of duplicated.)
+1. With fixed windows (``W_j = T[j]`` — the paper's DHB, UD's periodic
+   marks) at most one instance of each segment is ever in the strict
+   future, the latest: an earlier request ``i' <= i`` placed its instance
+   at ``k <= i' + T[j] <= i + T[j]``, so if ``k > i`` it lies inside the
+   new window and is shared.  One compare of ``next_transmissions``
+   against ``i`` finds every segment to place.
+2. When a window can be shorter than an earlier one (an adaptive slack
+   drop, an interactive resume) or an in-window instance is unusable (a
+   receive-cap duplicate, a failover re-homing), a new instance may land
+   *before* the latest.  It goes to a sparse side table next to the
+   latest-instance index, written only by such placements.  Nothing owed
+   is ever moved or dropped, so a retune of the window rule cannot drop or
+   delay an instance a client holds, and since placements need an empty
+   window no admission schedules a segment twice (compare the
+   channel-transition invariance of Rahman & Rahman, arXiv 1711.08118).
 
-Load storage is an array keyed by slot offset, not a per-slot dict: the
-active slot span of a window-sharing protocol is bounded by the largest
-period, so a flat ``array('q')`` indexed by ``slot - base`` gives O(1)
-scalar reads/writes at CPython-attribute speed *and* a zero-copy numpy view
-(:meth:`window_loads`) over any slot window for vectorised queries.
-:meth:`choose_latest_min` fuses the DHB heuristic (least-loaded slot, ties
-broken to the latest) with that store.  :meth:`release_before` advances the
-logical floor in O(1) amortised time and periodically compacts the backing
-array, keeping memory flat over arbitrarily long runs.  The schedule still
-keeps full per-slot instance lists, both for bandwidth auditing and so that
-tests can inspect the raw schedule.
+A superseded latest instance is forgotten only when it lies before the
+superseding placement's window, i.e. is already transmitted, so the
+queries are exact for any ``after`` at or past the latest admission slot.
+
+Loads live in a flat ``array('q')`` indexed by ``slot - base`` (the active
+span of a window-sharing protocol is bounded by the largest period): O(1)
+scalar access plus a zero-copy numpy view (:meth:`window_loads`) for
+vectorised queries.  :meth:`choose_latest_min` fuses the DHB heuristic
+(least-loaded slot, ties to the latest) with that store, and
+:meth:`release_before` advances the floor in O(1) amortised time,
+compacting the array and pruning the side table so memory stays flat.
+Full per-slot instance lists are kept for bandwidth audits and tests.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -50,7 +62,7 @@ _SMALL_WINDOW = 16
 
 
 class SlotSchedule:
-    """Per-slot segment instances plus per-segment future-instance index.
+    """Per-slot segment instances plus the per-segment future-instance record.
 
     Parameters
     ----------
@@ -74,6 +86,10 @@ class SlotSchedule:
     2
     >>> schedule.next_transmission(5) is None
     True
+    >>> schedule.place_latest_min(1, 1, segment=1)  # a shorter window
+    1
+    >>> schedule.future_instances(1, after=0)
+    [1, 2]
     """
 
     def __init__(self, n_segments: int, segment_weights: Optional[Sequence[float]] = None):
@@ -104,10 +120,13 @@ class SlotSchedule:
         )
         # Audit store: full per-slot instance lists, in add order.
         self._slots: Dict[int, List[int]] = {}
-        # next_tx[j-1]: slot of S_j's scheduled future instance, or -1.
+        # next_tx[j-1]: slot of S_j's latest scheduled instance, or -1.
         # Fixed-size array('q'), so the numpy view stays valid for life.
         self._next_tx = array("q", [-1] * self.n_segments)
         self._next_tx_np = np.frombuffer(self._next_tx, dtype=np.int64)
+        # Side table: S_j -> ascending slots of its still-owed instances
+        # earlier than the latest (see the module docstring); sparse.
+        self._earlier: Dict[int, List[int]] = {}
         self._released_before = 0
         self._total_instances = 0
 
@@ -134,39 +153,47 @@ class SlotSchedule:
             )
 
     def _ensure_capacity(self, slot: int) -> None:
-        """Grow (never in place) so that ``slot`` has a backing cell."""
-        needed = slot - self._base + 1
-        capacity = len(self._loads)
-        # Compact first: slide the window forward past released slots.
+        """Slide the array past released slots and grow it (by doubling,
+        never in place) until ``slot`` has a backing cell."""
         shift = self._released_before - self._base
-        if shift > 0 and needed - shift <= capacity:
-            fresh = self._loads[shift:]
-            fresh.extend(bytes(8 * shift))
-            self._replace_loads(fresh)
-            if self._weight_loads is not None:
-                fresh_w = self._weight_loads[shift:]
-                fresh_w.extend(bytes(8 * shift))
-                self._weight_loads = fresh_w
-            self._base = self._released_before
-            return
-        new_capacity = capacity
-        while new_capacity < needed - shift:
-            new_capacity *= 2
+        capacity = len(self._loads)
+        while capacity < slot - self._released_before + 1:
+            capacity *= 2
         fresh = self._loads[shift:]
-        fresh.extend(bytes(8 * (new_capacity - len(fresh))))
+        fresh.extend(bytes(8 * (capacity - len(fresh))))
         self._replace_loads(fresh)
         if self._weight_loads is not None:
             fresh_w = self._weight_loads[shift:]
-            fresh_w.extend(bytes(8 * (new_capacity - len(fresh_w))))
+            fresh_w.extend(bytes(8 * (capacity - len(fresh_w))))
             self._weight_loads = fresh_w
-        self._base += shift
+        self._base = self._released_before
 
     def _replace_loads(self, fresh: array) -> None:
         self._loads = fresh
         self._loads_np = np.frombuffer(fresh, dtype=np.int64)
 
-    def add(self, slot: int, segment: int) -> None:
-        """Schedule one instance of ``segment`` in ``slot``."""
+    def _record(self, segment: int, slot: int, first_slot: int) -> None:
+        """Index a new instance of ``segment`` placed at ``slot``.
+
+        ``first_slot`` is the start of the window it was placed in: a
+        superseded latest instance before it is already transmitted and is
+        forgotten; any other earlier instance goes to the side table.
+        """
+        latest = self._next_tx[segment - 1]
+        if slot > latest:
+            self._next_tx[segment - 1] = slot
+            if latest < first_slot:
+                return
+            slot = latest
+        insort(self._earlier.setdefault(segment, []), slot)
+
+    def add(self, slot: int, segment: int, first_slot: Optional[int] = None) -> None:
+        """Schedule one instance of ``segment`` in ``slot``.
+
+        ``first_slot`` is the start of the admission window the slot was
+        chosen from (default: ``slot`` itself); it tells the future-instance
+        record which superseded instances are still owed.
+        """
         if not 1 <= segment <= self.n_segments:
             self._check_segment(segment)
         if slot < self._released_before:
@@ -188,8 +215,7 @@ class SlotSchedule:
         else:
             bucket.append(segment)
         self._total_instances += 1
-        if slot > self._next_tx[segment - 1]:
-            self._next_tx[segment - 1] = slot
+        self._record(segment, slot, slot if first_slot is None else first_slot)
 
     def load(self, slot: int) -> int:
         """Number of instances scheduled in ``slot`` (streams of rate ``b``)."""
@@ -225,21 +251,32 @@ class SlotSchedule:
         slot = self._next_tx[segment - 1]
         return None if slot < 0 else slot
 
+    def future_instances(
+        self, segment: int, after: int, last: Optional[int] = None
+    ) -> List[int]:
+        """Ascending slots of ``segment``'s instances in ``(after, last]``.
+
+        ``last=None`` leaves the range open.  Exact for any ``after`` at or
+        past the slot of the latest admission (see the module docstring);
+        O(1) unless the side table holds the segment.
+        """
+        self._check_segment(segment)
+        latest = self._next_tx[segment - 1]
+        if latest <= after:
+            return []
+        earlier = self._earlier.get(segment)
+        found = [] if earlier is None else earlier[bisect_right(earlier, after) :]
+        found.append(latest)
+        if last is not None and latest > last:
+            del found[bisect_right(found, last) :]
+        return found
+
     def has_instance_within(self, segment: int, first_slot: int, last_slot: int) -> bool:
-        """Whether ``segment`` has an instance in ``[first_slot, last_slot]``.
+        """Whether ``segment`` has an instance in ``[first_slot, last_slot]``."""
+        return bool(self.future_instances(segment, first_slot - 1, last_slot))
 
-        Uses the single-future-instance invariant, so this is O(1).
-        """
-        next_tx = self.next_transmission(segment)
-        return next_tx is not None and first_slot <= next_tx <= last_slot
-
-    def window_loads(self, first_slot: int, last_slot: int) -> np.ndarray:
-        """Zero-copy numpy view of the loads of ``[first_slot, last_slot]``.
-
-        The view aliases the live store: it is only valid until the next
-        :meth:`add` / :meth:`release_before` and must not be written to.
-        ``first_slot`` must not be below the released floor.
-        """
+    def _open_window(self, first_slot: int, last_slot: int) -> None:
+        """Validate ``[first_slot, last_slot]`` and give it backing cells."""
         if last_slot < first_slot:
             raise SchedulingError(f"empty slot window [{first_slot}, {last_slot}]")
         if first_slot < self._released_before:
@@ -249,6 +286,15 @@ class SlotSchedule:
             )
         if last_slot - self._base >= len(self._loads):
             self._ensure_capacity(last_slot)
+
+    def window_loads(self, first_slot: int, last_slot: int) -> np.ndarray:
+        """Zero-copy numpy view of the loads of ``[first_slot, last_slot]``.
+
+        The view aliases the live store: it is only valid until the next
+        :meth:`add` / :meth:`release_before` and must not be written to.
+        ``first_slot`` must not be below the released floor.
+        """
+        self._open_window(first_slot, last_slot)
         base = self._base
         return self._loads_np[first_slot - base : last_slot - base + 1]
 
@@ -260,15 +306,7 @@ class SlotSchedule:
         the same choice, but read straight off the load array — a reverse
         Python scan for small windows, a vectorised argmin otherwise.
         """
-        if last_slot < first_slot:
-            raise SchedulingError(f"empty slot window [{first_slot}, {last_slot}]")
-        if first_slot < self._released_before:
-            raise SchedulingError(
-                f"window start {first_slot} below released floor "
-                f"{self._released_before}"
-            )
-        if last_slot - self._base >= len(self._loads):
-            self._ensure_capacity(last_slot)
+        self._open_window(first_slot, last_slot)
         base = self._base
         if last_slot - first_slot < _SMALL_WINDOW:
             loads = self._loads
@@ -285,68 +323,18 @@ class SlotSchedule:
         return last_slot - int(window[::-1].argmin())
 
     def place_latest_min(self, first_slot: int, last_slot: int, segment: int) -> int:
-        """Fused :meth:`choose_latest_min` + :meth:`add`; returns the slot.
-
-        The admission hot path of the dynamic protocols: one call picks the
-        least-loaded/latest slot of the window and schedules ``segment``
-        there, skipping the bounds work :meth:`add` would repeat (the chosen
-        slot is inside the just-validated window by construction).
-        """
-        if not 1 <= segment <= self.n_segments:
-            self._check_segment(segment)
-        if last_slot < first_slot:
-            raise SchedulingError(f"empty slot window [{first_slot}, {last_slot}]")
-        if first_slot < self._released_before:
-            raise SchedulingError(
-                f"window start {first_slot} below released floor "
-                f"{self._released_before}"
-            )
-        loads = self._loads
-        if last_slot - self._base >= len(loads):
-            self._ensure_capacity(last_slot)
-            loads = self._loads
-        base = self._base
-        low = first_slot - base
-        high = last_slot - base
-        if high - low < _SMALL_WINDOW:
-            chosen_index = high
-            best_load = loads[high]
-            for index in range(high - 1, low - 1, -1):
-                load = loads[index]
-                if load < best_load:
-                    chosen_index, best_load = index, load
-        else:
-            chosen_index = high - int(self._loads_np[low : high + 1][::-1].argmin())
-        chosen = base + chosen_index
-        loads[chosen_index] += 1
-        if self._weight_loads is not None:
-            self._weight_loads[chosen_index] += self._weights[segment - 1]
-        bucket = self._slots.get(chosen)
-        if bucket is None:
-            self._slots[chosen] = [segment]
-        else:
-            bucket.append(segment)
-        self._total_instances += 1
-        if chosen > self._next_tx[segment - 1]:
-            self._next_tx[segment - 1] = chosen
-        return chosen
+        """Fused :meth:`choose_latest_min` + :meth:`add`; returns the slot."""
+        return self.place_latest_min_many(first_slot, (last_slot,), (segment,))[0]
 
     def place_latest_min_many(
         self, first_slot: int, last_slots: Sequence[int], segments: Sequence[int]
     ) -> List[int]:
-        """Fused admission loop: one :meth:`place_latest_min` per window.
+        """The admission kernel: place ``segments[k]`` at the least-loaded,
+        latest slot of ``[first_slot, last_slots[k]]``, in order.
 
-        Places ``segments[k]`` at the least-loaded/latest slot of
-        ``[first_slot, last_slots[k]]``, in order, reading loads live (each
-        placement sees the previous ones) — bit-for-bit the sequence of
-        individual :meth:`place_latest_min` calls, but with the bounds
-        validation and capacity reservation hoisted out of the loop: one
-        ``_ensure_capacity`` for the largest window covers every placement.
-        Returns the chosen slots, ``result[k]`` for ``segments[k]``.
-
-        This is the admission kernel of the batched protocols: a whole
-        slot's worth of requests reduces (via the sharing invariant) to one
-        pass over the segments that lack a shareable future instance.
+        Loads are read live (each placement sees the previous ones), with
+        the bounds checks and one capacity reservation hoisted out of the
+        loop.  Returns the chosen slots, ``result[k]`` for ``segments[k]``.
         """
         if len(last_slots) != len(segments):
             raise SchedulingError(
@@ -357,16 +345,7 @@ class SlotSchedule:
         for segment in segments:
             if not 1 <= segment <= self.n_segments:
                 self._check_segment(segment)
-        if first_slot < self._released_before:
-            raise SchedulingError(
-                f"window start {first_slot} below released floor "
-                f"{self._released_before}"
-            )
-        farthest = max(last_slots)
-        if farthest < first_slot:
-            raise SchedulingError(f"empty slot window [{first_slot}, {farthest}]")
-        if farthest - self._base >= len(self._loads):
-            self._ensure_capacity(farthest)
+        self._open_window(first_slot, max(last_slots))
         loads = self._loads
         loads_np = self._loads_np
         weight_loads = self._weight_loads
@@ -400,8 +379,11 @@ class SlotSchedule:
                 occupied[chosen] = [segment]
             else:
                 bucket.append(segment)
-            if chosen > next_tx[segment - 1]:
+            latest = next_tx[segment - 1]
+            if latest < first_slot and chosen > latest:
                 next_tx[segment - 1] = chosen
+            else:
+                self._record(segment, chosen, first_slot)
             chosen_slots.append(chosen)
         self._total_instances += len(segments)
         return chosen_slots
@@ -425,6 +407,13 @@ class SlotSchedule:
                 for old in [s for s in occupied if s < slot]:
                     del occupied[old]
         self._released_before = slot
+        earlier = self._earlier
+        if earlier:
+            for segment in [j for j, slots in earlier.items() if slots[0] < slot]:
+                slots = earlier[segment]
+                del slots[: bisect_left(slots, slot)]
+                if not slots:
+                    del earlier[segment]
         # Keep the backing array aligned with the active span: once the
         # released prefix dominates the capacity, slide the window forward
         # (amortised O(1) per released slot).

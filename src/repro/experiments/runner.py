@@ -10,7 +10,7 @@ sees the *same* arrival trace (common random numbers).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import Observation, TraceSink
 from ..runtime import Engine, RunSpec, observed_run
 from ..runtime.cache import clear_cache
-from ..runtime.seeds import arrival_trace, replication_seed
+from ..runtime.seeds import arrival_trace
 from ..sim.continuous import ContinuousSimulation, ReactiveModel
 from ..sim.slotted import SlottedModel, SlottedSimulation
 from ..workload.spec import WorkloadSpec
@@ -249,81 +249,6 @@ def sweep_factory(
         )
         series.add(point)
     return series
-
-
-@dataclass(frozen=True)
-class ReplicatedPoint:
-    """A bandwidth measurement replicated over independent seeds.
-
-    Attributes
-    ----------
-    rate_per_hour:
-        The operating point.
-    mean:
-        Grand mean of the replications' mean bandwidths.
-    half_width:
-        Normal-theory 95 % confidence half-width across replications.
-    replications:
-        The individual replication means.
-    """
-
-    rate_per_hour: float
-    mean: float
-    half_width: float
-    replications: Tuple[float, ...]
-
-    @property
-    def interval(self) -> Tuple[float, float]:
-        """The (low, high) confidence interval."""
-        return (self.mean - self.half_width, self.mean + self.half_width)
-
-
-def replicate_measurement(
-    factory: ProtocolFactory,
-    config: SweepConfig,
-    rate_per_hour: float,
-    n_replications: int = 5,
-) -> ReplicatedPoint:
-    """Replicate one measurement over independent seeds.
-
-    Every replication gets a fresh protocol from ``factory`` and an arrival
-    trace from a distinct derived seed; the result carries a confidence
-    interval so sweep-level ordering claims can be checked against noise.
-
-    >>> from ..core.dhb import DHBProtocol
-    >>> cfg = SweepConfig().quick(rates_per_hour=(30.0,), base_hours=3.0,
-    ...                           min_requests=20)
-    >>> point = replicate_measurement(
-    ...     lambda rate: DHBProtocol(n_segments=cfg.n_segments), cfg, 30.0,
-    ...     n_replications=3)
-    >>> len(point.replications)
-    3
-    >>> point.half_width >= 0.0
-    True
-    """
-    if n_replications < 2:
-        raise ConfigurationError("need >= 2 replications for an interval")
-    means: List[float] = []
-    for replication in range(n_replications):
-        replication_config = config.replace(
-            seed=replication_seed(config.seed, replication)
-        )
-        point = measure_protocol(
-            factory(rate_per_hour),
-            replication_config,
-            rate_per_hour,
-            arrival_times=arrivals_for_rate(replication_config, rate_per_hour),
-        )
-        means.append(point.mean_bandwidth)
-    grand = sum(means) / n_replications
-    variance = sum((m - grand) ** 2 for m in means) / (n_replications - 1)
-    half_width = 1.96 * (variance / n_replications) ** 0.5
-    return ReplicatedPoint(
-        rate_per_hour=rate_per_hour,
-        mean=grand,
-        half_width=half_width,
-        replications=tuple(means),
-    )
 
 
 def sweep_grid(

@@ -14,6 +14,7 @@ from repro.cluster.faults import (
     supports_rescheduling,
 )
 from repro.cluster.topology import ServerSpec, uniform_topology
+from repro.core.adaptive import AdaptiveDHBProtocol
 from repro.core.dhb import DHBProtocol
 from repro.errors import ClusterError
 from repro.protocols.ud import UniversalDistributionProtocol
@@ -98,6 +99,35 @@ class TestDegradedMode:
         assert {(i.segment, i.due_slot) for i in lost} == {
             (3, 3), (4, 4), (5, 5), (6, 6)
         }
+
+    def test_lost_instances_include_an_adaptive_instance_before_the_latest(self):
+        """After a slack drop S_1 is owed at slots 5 *and* 7; both are lost."""
+
+        def make_adaptive_server(server_id):
+            return CappedServer(
+                ServerSpec(server_id, 100),
+                [0],
+                lambda title: AdaptiveDHBProtocol(
+                    4, slack_ladder=((0.0, 6), (1.0, 0)), epoch_slots=4
+                ),
+            )
+
+        crashed = make_adaptive_server(0)
+        crashed.admit(0, slot=0)  # slack 6: S_1 lands at slot 7
+        for slot in range(1, 4):
+            for _ in range(10):
+                crashed.admit(0, slot=slot)
+        crashed.admit(0, slot=4)  # retuned to slack 0: S_1 at slot 5
+        lost = lost_instances(crashed, crash_slot=5)
+        assert [(i.segment, i.due_slot) for i in lost if i.segment == 1] == [
+            (1, 5),
+            (1, 7),
+        ]
+        survivor = make_adaptive_server(1)
+        report = fail_over(crashed, lambda title: [survivor], crash_slot=5)
+        moved = [event for event in report.events if event.segment == 1]
+        assert [event.due_slot for event in moved] == [5, 7]
+        assert all(5 <= event.placed_slot <= event.due_slot for event in moved)
 
     def test_reschedule_shares_or_places_within_window(self):
         target = DHBProtocol(n_segments=6)

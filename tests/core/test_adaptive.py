@@ -13,12 +13,13 @@ The load-bearing properties:
    is bit-for-bit DHBProtocol.
 4. **Batch/scalar equivalence** — the batched admission path matches
    one-by-one admission exactly (schedule, retunes, counters).
-5. **Head index == per-segment bisect loop** — the vectorised admission
-   matches the original per-segment loop, kept below as an oracle.
+5. **Shared admission == per-segment bisect loop** — DHB's admission
+   routine matches an independent per-segment loop with its own sorted
+   future-instance lists, kept below as an oracle.
 """
 
 import bisect
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 import pytest
@@ -266,17 +267,23 @@ def test_repr_mentions_slack_and_retunes():
 
 
 # ---------------------------------------------------------------------------
-# Head index == the per-segment bisect loop it replaced
+# Shared DHB admission == an independent per-segment bisect loop
 # ---------------------------------------------------------------------------
 
 class BisectAdaptiveDHB(AdaptiveDHBProtocol):
     """Oracle: admission through the original per-segment bisect loop.
 
-    Retuning, the estimator and the future lists are inherited; the three
-    admission methods are the pre-head-index implementation, verbatim.
+    Retuning and the estimator are inherited; the oracle keeps its own
+    sorted per-segment future-instance lists (it never reads the
+    schedule's future-instance record), and the admission methods are the
+    original per-segment implementation.
     """
 
-    def _admit(self, slot: int, plan: Optional[ClientPlan]) -> int:
+    def __init__(self, n_segments: int, **options):
+        super().__init__(n_segments, **options)
+        self._future: List[List[int]] = [[] for _ in range(n_segments)]
+
+    def _bisect_admit(self, slot: int, plan: Optional[ClientPlan]) -> int:
         """One logical admission under the current slack; returns placements."""
         schedule = self.schedule
         slack = self.slack
@@ -307,7 +314,7 @@ class BisectAdaptiveDHB(AdaptiveDHBProtocol):
         self._maybe_retune(slot)
         self._estimator.add(slot, 1)
         plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        placed = self._admit(slot, plan)
+        placed = self._bisect_admit(slot, plan)
         self.requests_admitted += 1
         if self.metrics is not None:
             self.metrics.counter("protocol.requests").inc()
@@ -327,7 +334,7 @@ class BisectAdaptiveDHB(AdaptiveDHBProtocol):
             return
         self._maybe_retune(slot)
         self._estimator.add(slot, count)
-        placed = self._admit(slot, None)
+        placed = self._bisect_admit(slot, None)
         self.requests_admitted += count
         if self.metrics is not None:
             self.metrics.counter("protocol.requests").inc(count)
@@ -420,19 +427,19 @@ def test_retune_down_leaves_two_future_instances():
         target.handle_request(4)  # epoch 1 retunes to slack 0
     assert protocol.clients[0].assignments[1] == 7
     assert [event.new_slack for event in protocol.retunes] == [0]
-    assert protocol._future[0] == [5, 7]  # two future instances of S_1
+    assert protocol.schedule.future_instances(1, 4) == [5, 7]  # two of S_1
     latest = protocol.clients[-1]
     assert latest.assignments[1] == 5 and not latest.shared[1]
     assert_same_admissions(protocol, oracle, 20)
     # Slot 5 expires the near instance; 7 is still past the window (5, 6].
     for target in (protocol, oracle):
         target.handle_request(5)
-    assert protocol._future[0] == [6, 7]
+    assert protocol.schedule.future_instances(1, 5) == [6, 7]
     assert protocol.clients[-1].assignments[1] == 6
     # Slot 6 expires that one too; the stranded instance is shared at last.
     for target in (protocol, oracle):
         target.handle_request(6)
-    assert protocol._future[0] == [7]
+    assert protocol.schedule.future_instances(1, 6) == [7]
     latest = protocol.clients[-1]
     assert latest.assignments[1] == 7 and latest.shared[1]
     assert_same_admissions(protocol, oracle, 20)

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchedulingError
+from repro.cluster.faults import reschedule_instance
+from repro.core.adaptive import AdaptiveDHBProtocol
+from repro.core.bandwidth_limited import BandwidthLimitedDHB
+from repro.core.dhb import DHBProtocol
 from repro.core.heuristic import latest_min_load_chooser
+from repro.core.interactive import InteractiveDHB
 from repro.core.schedule import SlotSchedule
+from repro.errors import SchedulingError
 
 
 def test_add_and_load():
@@ -304,3 +309,84 @@ class TestWeights:
             SlotSchedule(n_segments=2, segment_weights=[1.0])
         with pytest.raises(SchedulingError):
             SlotSchedule(n_segments=2, segment_weights=[1.0, -1.0])
+
+
+# ---------------------------------------------------------------------------
+# The future-instance record == a brute-force scan of the audit store
+# ---------------------------------------------------------------------------
+
+#: One step on a schedule shared by every DHB variant (see the property).
+record_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.integers(1, 4)),
+        st.tuples(st.just("static"), st.integers(1, 3)),
+        st.tuples(st.just("adaptive"), st.integers(1, 3)),
+        st.tuples(st.just("resume"), st.integers(1, 8)),
+        st.tuples(st.just("capped"), st.integers(1, 2)),
+        st.tuples(st.just("failover"), st.integers(1, 8), st.integers(1, 6)),
+        st.tuples(st.just("release"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+def scanned_instances(schedule, segment, after, last):
+    return [
+        slot
+        for slot in schedule.occupied_slots()
+        if after < slot <= last
+        for placed in schedule.segments_in(slot)
+        if placed == segment
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(steps=record_steps, track_clients=st.booleans(), high_slack=st.integers(1, 6))
+def test_future_instances_match_a_scan_of_the_schedule(steps, track_clients, high_slack):
+    """Static, adaptive (slack drops), resumed and capped admissions, and
+    failover placements, interleaved on one schedule: its future-instance
+    queries always list exactly what the per-slot audit store holds."""
+    n = 8
+    static = DHBProtocol(n, track_clients=track_clients)
+    adaptive = AdaptiveDHBProtocol(
+        n,
+        slack_ladder=((0.0, high_slack), (1.0, 0)),  # busy spells drop the slack
+        epoch_slots=2,
+        alpha=0.5,
+        track_clients=track_clients,
+    )
+    interactive = InteractiveDHB(n, track_clients=track_clients)
+    capped = BandwidthLimitedDHB(n, client_cap=1, track_clients=track_clients)
+    schedule = static.schedule
+    for protocol in (adaptive, interactive, capped):
+        protocol.schedule = schedule
+    now = 0
+    for kind, *args in steps:
+        if kind == "advance":
+            now += args[0]
+        elif kind == "static":
+            static.handle_batch(now, args[0])
+        elif kind == "adaptive":
+            adaptive.handle_batch(now, args[0])
+        elif kind == "resume":
+            interactive.handle_request(now, start_segment=args[0])
+        elif kind == "capped":
+            for _ in range(args[0]):
+                capped.handle_request(now)
+        elif kind == "failover":
+            segment, span = args
+            reschedule_instance(static, now + 1, segment, now + span)
+        else:
+            schedule.release_before(now)
+        horizon = now + n + high_slack + 2
+        for segment in range(1, n + 1):
+            for after in (now, now + 2):
+                for last in (None, now + 3, horizon):
+                    expected = scanned_instances(
+                        schedule, segment, after, horizon if last is None else last
+                    )
+                    assert schedule.future_instances(segment, after, last) == expected
+                    assert schedule.has_instance_within(
+                        segment, after + 1, horizon if last is None else last
+                    ) == bool(expected)

@@ -132,9 +132,12 @@ class TestTraceCacheSize:
             RuntimeConfig().resolve_trace_cache_size(0)
 
 
-def test_shim_reexports_same_objects():
-    """The deprecated parallel module forwards the runtime's resolver."""
-    from repro.experiments import parallel
+def test_shim_reexports_same_objects(monkeypatch):
+    """The runtime package and its Engine use the config's resolver (the
+    removed ``experiments.parallel`` shim used to re-export it)."""
+    import repro.runtime as runtime
 
-    assert parallel.N_JOBS_ENV is N_JOBS_ENV
-    assert parallel.resolve_n_jobs is resolve_n_jobs
+    assert runtime.N_JOBS_ENV is N_JOBS_ENV
+    assert runtime.resolve_n_jobs is resolve_n_jobs
+    monkeypatch.setenv(N_JOBS_ENV, "3")
+    assert runtime.Engine().n_jobs == resolve_n_jobs(None) == 3

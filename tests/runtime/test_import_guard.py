@@ -55,5 +55,7 @@ def test_backend_modules_do_hold_the_imports():
 
 
 def test_legacy_pool_shim_is_clean():
-    """The deprecated ``runtime.pool`` shim no longer owns a pool itself."""
-    assert not any(banned_imports(SRC / "runtime" / "pool.py"))
+    """The ``runtime.pool`` shim is gone, and the Engine that replaced it
+    owns no pool itself."""
+    assert not (SRC / "runtime" / "pool.py").exists()
+    assert not any(banned_imports(SRC / "runtime" / "engine.py"))
