@@ -34,11 +34,12 @@ queries are exact for any ``after`` at or past the latest admission slot.
 
 Loads live in a flat ``array('q')`` indexed by ``slot - base`` (the active
 span of a window-sharing protocol is bounded by the largest period): O(1)
-scalar access plus a zero-copy numpy view (:meth:`window_loads`) for
-vectorised queries.  :meth:`choose_latest_min` fuses the DHB heuristic
-(least-loaded slot, ties to the latest) with that store, and
-:meth:`release_before` advances the floor in O(1) amortised time,
-compacting the array and pruning the side table so memory stays flat.
+scalar access plus a numpy view of the same buffer for vectorised window
+minima.  :meth:`place_latest_min_many` fuses the DHB heuristic
+(least-loaded slot, ties to the latest) with that store and the
+future-instance record, and :meth:`release_before` advances the floor in
+O(1) amortised time, compacting the array and pruning the side table so
+memory stays flat.
 Full per-slot instance lists are kept for bandwidth audits and tests.
 """
 
@@ -275,55 +276,13 @@ class SlotSchedule:
         """Whether ``segment`` has an instance in ``[first_slot, last_slot]``."""
         return bool(self.future_instances(segment, first_slot - 1, last_slot))
 
-    def _open_window(self, first_slot: int, last_slot: int) -> None:
-        """Validate ``[first_slot, last_slot]`` and give it backing cells."""
-        if last_slot < first_slot:
-            raise SchedulingError(f"empty slot window [{first_slot}, {last_slot}]")
-        if first_slot < self._released_before:
-            raise SchedulingError(
-                f"window start {first_slot} below released floor "
-                f"{self._released_before}"
-            )
-        if last_slot - self._base >= len(self._loads):
-            self._ensure_capacity(last_slot)
-
-    def window_loads(self, first_slot: int, last_slot: int) -> np.ndarray:
-        """Zero-copy numpy view of the loads of ``[first_slot, last_slot]``.
-
-        The view aliases the live store: it is only valid until the next
-        :meth:`add` / :meth:`release_before` and must not be written to.
-        ``first_slot`` must not be below the released floor.
-        """
-        self._open_window(first_slot, last_slot)
-        base = self._base
-        return self._loads_np[first_slot - base : last_slot - base + 1]
-
-    def choose_latest_min(self, first_slot: int, last_slot: int) -> int:
-        """Least-loaded slot of ``[first_slot, last_slot]``, latest tie wins.
-
-        Fused fast path of the paper's heuristic
-        (:func:`repro.core.heuristic.latest_min_load_chooser`): bit-for-bit
-        the same choice, but read straight off the load array — a reverse
-        Python scan for small windows, a vectorised argmin otherwise.
-        """
-        self._open_window(first_slot, last_slot)
-        base = self._base
-        if last_slot - first_slot < _SMALL_WINDOW:
-            loads = self._loads
-            best_slot = last_slot
-            best_load = loads[last_slot - base]
-            for slot in range(last_slot - 1, first_slot - 1, -1):
-                load = loads[slot - base]
-                if load < best_load:
-                    best_slot, best_load = slot, load
-            return best_slot
-        window = self._loads_np[first_slot - base : last_slot - base + 1]
-        # argmin of the reversed view finds the first minimum from the end,
-        # which *is* the latest among equals.
-        return last_slot - int(window[::-1].argmin())
-
     def place_latest_min(self, first_slot: int, last_slot: int, segment: int) -> int:
-        """Fused :meth:`choose_latest_min` + :meth:`add`; returns the slot."""
+        """Add ``segment`` at the least-loaded slot of ``[first_slot,
+        last_slot]``, latest tie wins; returns the slot.
+
+        Bit-for-bit the choice of the paper's heuristic
+        (:func:`repro.core.heuristic.latest_min_load_chooser`).
+        """
         return self.place_latest_min_many(first_slot, (last_slot,), (segment,))[0]
 
     def place_latest_min_many(
@@ -345,7 +304,14 @@ class SlotSchedule:
         for segment in segments:
             if not 1 <= segment <= self.n_segments:
                 self._check_segment(segment)
-        self._open_window(first_slot, max(last_slots))
+        if first_slot < self._released_before:
+            raise SchedulingError(
+                f"window start {first_slot} below released floor "
+                f"{self._released_before}"
+            )
+        highest = max(last_slots)
+        if highest - self._base >= len(self._loads):
+            self._ensure_capacity(highest)
         loads = self._loads
         loads_np = self._loads_np
         weight_loads = self._weight_loads

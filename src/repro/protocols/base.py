@@ -1,9 +1,11 @@
 """Shared machinery for the fixed (proactive) broadcasting protocols.
 
 A fixed broadcasting protocol is completely described by a **static map**:
-for each data stream, a periodic pattern of segment numbers.  FB, NPB and SB
-differ only in that map (the paper's Figures 1–3), so they share
-:class:`StaticBroadcastProtocol`, which
+segment ``S_j`` rides one *train* — the arithmetic slot progression
+``offset + t * period`` of one data stream — and a slot that no train
+covers is idle, so a map grows with the video, never with the hyper-period
+of its streams.  FB, NPB and SB differ only in their trains (the paper's
+Figures 1–3), so they share :class:`StaticBroadcastProtocol`, which
 
 * answers the slotted-simulation interface (the server bandwidth of a fixed
   protocol is simply its stream count — "their bandwidth requirements are
@@ -15,71 +17,93 @@ differ only in that map (the paper's Figures 1–3), so they share
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from itertools import combinations
+from math import gcd
+from typing import Iterable, List
 
 from ..errors import ConfigurationError, SchedulingError
 from ..sim.slotted import SlottedModel
 
+#: Segment number that marks an idle slot (and a train carrying nothing yet).
+IDLE = 0
+
 
 @dataclass(frozen=True)
-class StaticMap:
-    """A fixed segment-to-stream map.
+class Train:
+    """Slots ``offset, offset + period, ...`` of 0-based ``stream``.
 
-    Attributes
-    ----------
-    patterns:
-        ``patterns[s]`` is the repeating segment pattern of stream ``s``
-        (0-based streams); stream ``s`` transmits
-        ``patterns[s][slot % len(patterns[s])]`` during ``slot``.
-    n_segments:
-        Total number of video segments covered by the map.
+    A map train carries ``segment``; the pagoda packer also handles free
+    trains, which carry :data:`IDLE`.
     """
 
-    patterns: List[List[int]]
-    n_segments: int
+    stream: int
+    period: int
+    offset: int
+    segment: int = IDLE
 
-    @property
-    def n_streams(self) -> int:
-        """Number of data streams the map occupies."""
-        return len(self.patterns)
+
+def cycle(stream: int, first: int, last: int) -> List[Train]:
+    """Trains of a stream that loops ``S_first .. S_last``, one per slot."""
+    width = last - first + 1
+    return [Train(stream, width, j - first, j) for j in range(first, last + 1)]
+
+
+class StaticMap:
+    """A fixed segment-to-stream map: ``trains[j - 1]`` carries ``S_j``.
+
+    Raises :class:`~repro.errors.SchedulingError` unless the trains carry
+    ``S_1 .. S_n`` once each, every offset lies in ``[0, period)``, and no
+    two trains of one stream share a slot.
+    """
+
+    def __init__(self, trains: Iterable[Train]):
+        self.trains = tuple(sorted(trains, key=lambda train: train.segment))
+        self.n_segments = len(self.trains)
+        for number, train in enumerate(self.trains, 1):
+            if train.segment != number:
+                raise SchedulingError(f"S{number} missing or a segment carried twice")
+            if train.stream < 0 or not 0 <= train.offset < train.period:
+                raise SchedulingError(f"malformed train {train}")
+        self.n_streams = 1 + max((train.stream for train in self.trains), default=-1)
+        self._streams = [
+            [train for train in self.trains if train.stream == stream]
+            for stream in range(self.n_streams)
+        ]
+        for stream in self._streams:
+            for a, b in combinations(stream, 2):
+                if (a.offset - b.offset) % gcd(a.period, b.period) == 0:
+                    raise SchedulingError(
+                        f"S{a.segment} and S{b.segment} share slots of stream "
+                        f"{a.stream + 1}"
+                    )
 
     def segment_at(self, stream: int, slot: int) -> int:
-        """Segment broadcast by 0-based ``stream`` during ``slot``."""
-        pattern = self.patterns[stream]
-        return pattern[slot % len(pattern)]
+        """Segment broadcast by 0-based ``stream`` during ``slot`` (0: idle)."""
+        for train in self._streams[stream]:
+            if slot % train.period == train.offset:
+                return train.segment
+        return IDLE
 
     def segments_in_slot(self, slot: int) -> List[int]:
-        """All segments broadcast during ``slot``, one per stream."""
-        return [self.segment_at(stream, slot) for stream in range(self.n_streams)]
+        """Segments broadcast during ``slot``, in stream order; idle streams
+        contribute nothing."""
+        return [
+            train.segment
+            for stream in self._streams
+            for train in stream
+            if slot % train.period == train.offset
+        ]
 
     def period_of(self, segment: int) -> int:
-        """Broadcast period of ``segment``: gap between consecutive instances.
-
-        Raises :class:`~repro.errors.SchedulingError` when the segment's
-        occurrences are not evenly spaced within its stream pattern (every
-        protocol reproduced here uses evenly spaced instances).
-        """
-        for pattern in self.patterns:
-            hits = [idx for idx, seg in enumerate(pattern) if seg == segment]
-            if not hits:
-                continue
-            length = len(pattern)
-            gaps = {
-                (hits[(k + 1) % len(hits)] - hits[k]) % length or length
-                for k in range(len(hits))
-            }
-            if len(gaps) != 1:
-                raise SchedulingError(
-                    f"segment S{segment} is unevenly spaced in its stream"
-                )
-            return gaps.pop()
-        raise SchedulingError(f"segment S{segment} missing from the map")
+        """Broadcast period of ``segment``: gap between consecutive instances."""
+        if not 1 <= segment <= self.n_segments:
+            raise SchedulingError(f"segment S{segment} missing from the map")
+        return self.trains[segment - 1].period
 
     def render(self, n_slots: int = 6) -> str:
         """ASCII rendering in the style of the paper's Figures 1–3.
 
-        >>> simple = StaticMap(patterns=[[1], [2, 3]], n_segments=3)
-        >>> print(simple.render(4))
+        >>> print(StaticMap(cycle(0, 1, 1) + cycle(1, 2, 3)).render(4))
         Stream 1  S1 S1 S1 S1
         Stream 2  S2 S3 S2 S3
         """
@@ -98,14 +122,13 @@ def verify_static_map(static_map: StaticMap, exhaustive_arrivals: int = 0) -> No
     """Check the delivery guarantee of a fixed map.
 
     A client arriving during slot ``i`` must find every segment ``S_j``
-    broadcast at least once during ``[i+1, i+j]``.  Because every protocol
-    here spaces a segment's occurrences evenly (:meth:`StaticMap.period_of`
-    enforces it), the guarantee is *exactly* equivalent to
-    ``period_of(S_j) <= j`` for every segment — any window of ``j``
-    consecutive slots then contains an occurrence.  That check is O(map
-    size), so it stays fast even for maps whose pattern hyper-period is
-    astronomically large (the six-stream pagoda map mixes train periods like
-    49, 56 and 91).
+    broadcast at least once during ``[i+1, i+j]``.  A train broadcasts its
+    segment every ``period`` slots, so the guarantee is *exactly*
+    ``period <= j`` for every segment — any window of ``j`` consecutive
+    slots then contains an occurrence.  The map's constructor already
+    checked that every segment rides exactly one train, so this is one
+    compare per segment, however long the streams' hyper-period (the
+    six-stream pagoda map mixes train periods like 49, 121 and 196).
 
     Parameters
     ----------
@@ -119,22 +142,11 @@ def verify_static_map(static_map: StaticMap, exhaustive_arrivals: int = 0) -> No
     SchedulingError
         On the first violated segment or (arrival slot, segment) pair.
     """
-    seen_segments: Dict[int, bool] = {
-        j: False for j in range(1, static_map.n_segments + 1)
-    }
-    for pattern in static_map.patterns:
-        for segment in pattern:
-            if segment in seen_segments:
-                seen_segments[segment] = True
-    missing = [j for j, seen in seen_segments.items() if not seen]
-    if missing:
-        raise SchedulingError(f"map never broadcasts segments {missing}")
-    for segment in range(1, static_map.n_segments + 1):
-        period = static_map.period_of(segment)
-        if period > segment:
+    for train in static_map.trains:
+        if train.period > train.segment:
             raise SchedulingError(
-                f"S{segment} is broadcast every {period} slots, beyond its "
-                f"deadline window of {segment}"
+                f"S{train.segment} is broadcast every {train.period} slots, "
+                f"beyond its deadline window of {train.segment}"
             )
     for arrival in range(exhaustive_arrivals):
         pending = set(range(1, static_map.n_segments + 1))

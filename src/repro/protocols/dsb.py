@@ -59,6 +59,11 @@ class DynamicSkyscraperProtocol(SlottedModel):
             n_streams = sb_streams_for_segments(n_segments, width_cap)
         self.widths = skyscraper_widths(n_streams, width_cap)
         self.map = sb_map(n_streams, width_cap)
+        if n_segments is not None and n_segments > self.map.n_segments:
+            raise ConfigurationError(
+                f"{n_streams} SB streams carry {self.map.n_segments} "
+                f"segments, not {n_segments}"
+            )
         # Per stream: set of marked cycle start slots.
         self._marked_cycles: Dict[int, Set[int]] = {
             g: set() for g in range(len(self.widths))

@@ -29,24 +29,11 @@ the configuration of Figures 7 and 8 — fit in six streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import List, Optional
 
-from ..errors import ConfigurationError, SchedulingError
-from .base import StaticBroadcastProtocol, StaticMap
-
-#: Idle-slot marker in patterns when capacity exceeds the requested segments.
-IDLE = 0
-
-
-@dataclass(frozen=True)
-class _Train:
-    """An arithmetic progression of slots within one stream."""
-
-    stream: int
-    period: int
-    offset: int
+from ..errors import ConfigurationError
+from .base import StaticBroadcastProtocol, StaticMap, Train
 
 
 def _prime_factors(value: int) -> List[int]:
@@ -64,21 +51,21 @@ def _prime_factors(value: int) -> List[int]:
     return factors
 
 
-def _pack(n_streams: int, max_segments: Optional[int]) -> Tuple[List[_Train], Dict[_Train, int]]:
+def _pack(n_streams: int, max_segments: Optional[int]) -> List[Train]:
     """Greedy pagoda packing of segments onto ``n_streams`` streams.
 
-    Returns the leftover free trains and the segment assignment.
+    Returns one train per placed segment, ``S_1`` first.
     """
-    free: List[_Train] = []
+    free: List[Train] = []
     next_stream = 0
-    assignment: Dict[_Train, int] = {}
+    assigned: List[Train] = []
     segment = 0
     while max_segments is None or segment < max_segments:
         segment += 1
         candidates = list(free)
         if next_stream < n_streams:
-            candidates.append(_Train(next_stream, 1, 0))
-        best: Optional[_Train] = None
+            candidates.append(Train(next_stream, 1, 0))
+        best: Optional[Train] = None
         best_period = 0
         for train in candidates:
             achievable = train.period * (segment // train.period)
@@ -106,15 +93,15 @@ def _pack(n_streams: int, max_segments: Optional[int]) -> Tuple[List[_Train], Di
         for factor in _prime_factors(segment // best.period):
             for branch in range(1, factor):
                 free.append(
-                    _Train(
+                    Train(
                         current.stream,
                         current.period * factor,
                         current.offset + branch * current.period,
                     )
                 )
-            current = _Train(current.stream, current.period * factor, current.offset)
-        assignment[current] = segment
-    return free, assignment
+            current = Train(current.stream, current.period * factor, current.offset)
+        assigned.append(replace(current, segment=segment))
+    return assigned
 
 
 def pagoda_capacity(n_streams: int) -> int:
@@ -129,8 +116,7 @@ def pagoda_capacity(n_streams: int) -> int:
     """
     if n_streams < 1:
         raise ConfigurationError(f"need >= 1 stream, got {n_streams}")
-    _, assignment = _pack(n_streams, max_segments=None)
-    return len(assignment)
+    return len(_pack(n_streams, max_segments=None))
 
 
 def pagoda_streams_for_segments(n_segments: int) -> int:
@@ -151,9 +137,9 @@ def pagoda_map(n_streams: int, n_segments: Optional[int] = None) -> StaticMap:
     n_streams:
         Stream count ``k``.
     n_segments:
-        Segments to place (defaults to the full capacity).  Unused trains
-        become idle slots (marker 0) — the allocated bandwidth is still
-        ``k`` streams, as in the paper's flat NPB curve.
+        Segments to place (defaults to the full capacity).  Slots of unused
+        trains are idle — the allocated bandwidth is still ``k`` streams,
+        as in the paper's flat NPB curve.
 
     Examples
     --------
@@ -162,31 +148,14 @@ def pagoda_map(n_streams: int, n_segments: Optional[int] = None) -> StaticMap:
     Stream 2  S2 S4 S2 S5 S2 S4
     Stream 3  S3 S6 S8 S3 S7 S9
     """
-    capacity = pagoda_capacity(n_streams)
-    if n_segments is None:
-        n_segments = capacity
-    if n_segments > capacity:
+    if n_streams < 1:
+        raise ConfigurationError(f"need >= 1 stream, got {n_streams}")
+    trains = _pack(n_streams, max_segments=n_segments)
+    if n_segments is not None and len(trains) < n_segments:
         raise ConfigurationError(
-            f"{n_streams} streams fit {capacity} segments, not {n_segments}"
+            f"{n_streams} streams fit {len(trains)} segments, not {n_segments}"
         )
-    free, assignment = _pack(n_streams, max_segments=n_segments)
-    used_streams = 1 + max(train.stream for train in assignment)
-    # Per-stream pattern length: lcm of that stream's train periods.
-    lengths = [1] * used_streams
-    for train in list(assignment) + list(free):
-        if train.stream < used_streams:
-            lengths[train.stream] = (
-                lengths[train.stream]
-                * train.period
-                // gcd(lengths[train.stream], train.period)
-            )
-    patterns: List[List[int]] = [[IDLE] * lengths[s] for s in range(used_streams)]
-    for train, segment in assignment.items():
-        for slot in range(train.offset, lengths[train.stream], train.period):
-            if patterns[train.stream][slot] != IDLE:
-                raise SchedulingError("pagoda trains collided; packer bug")
-            patterns[train.stream][slot] = segment
-    return StaticMap(patterns=patterns, n_segments=n_segments)
+    return StaticMap(trains)
 
 
 class NewPagodaBroadcasting(StaticBroadcastProtocol):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import ConfigurationError
-from .base import StaticBroadcastProtocol, StaticMap
+from .base import StaticBroadcastProtocol, StaticMap, cycle
 
 
 def skyscraper_widths(n_streams: int, width_cap: Optional[int] = None) -> List[int]:
@@ -82,13 +82,12 @@ def sb_map(n_streams: int, width_cap: Optional[int] = None) -> StaticMap:
     Stream 2  S2 S3 S2 S3
     Stream 3  S4 S5 S4 S5
     """
-    widths = skyscraper_widths(n_streams, width_cap)
-    patterns: List[List[int]] = []
+    trains = []
     first = 1
-    for width in widths:
-        patterns.append(list(range(first, first + width)))
+    for stream, width in enumerate(skyscraper_widths(n_streams, width_cap)):
+        trains += cycle(stream, first, first + width - 1)
         first += width
-    return StaticMap(patterns=patterns, n_segments=first - 1)
+    return StaticMap(trains)
 
 
 class SkyscraperBroadcasting(StaticBroadcastProtocol):
@@ -100,7 +99,9 @@ class SkyscraperBroadcasting(StaticBroadcastProtocol):
         Stream count; or derive from ``n_segments``.
     n_segments:
         Minimum segment count to cover (the realised count is the full
-        capacity of the chosen stream count).
+        capacity of the chosen stream count).  Asking for more segments
+        than ``n_streams`` streams carry raises
+        :class:`~repro.errors.ConfigurationError`.
     width_cap:
         Optional cap on group widths (bounds the client buffer).
 
@@ -126,7 +127,13 @@ class SkyscraperBroadcasting(StaticBroadcastProtocol):
             raise ConfigurationError("give n_streams and/or n_segments")
         if n_streams is None:
             n_streams = sb_streams_for_segments(n_segments, width_cap)
-        super().__init__(sb_map(n_streams, width_cap))
+        static_map = sb_map(n_streams, width_cap)
+        if n_segments is not None and n_segments > static_map.n_segments:
+            raise ConfigurationError(
+                f"{n_streams} SB streams carry {static_map.n_segments} "
+                f"segments, not {n_segments}"
+            )
+        super().__init__(static_map)
         self.widths = skyscraper_widths(n_streams, width_cap)
 
     def max_client_streams(self, n_arrival_slots: int = 64) -> int:

@@ -1,6 +1,5 @@
 """Tests for repro.core.schedule."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,57 +124,29 @@ def test_interleaved_adds_and_large_releases():
     assert schedule.total_instances == 12
 
 
-class TestWindowLoads:
-    def test_view_matches_loads(self):
-        schedule = SlotSchedule(n_segments=5)
-        for slot, segment in ((2, 1), (2, 2), (4, 3), (5, 4)):
-            schedule.add(slot, segment)
-        window = schedule.window_loads(1, 6)
-        assert window.tolist() == [0, 2, 0, 1, 1, 0]
-        assert window.dtype == np.int64
-
-    def test_view_is_live(self):
-        schedule = SlotSchedule(n_segments=5)
-        window = schedule.window_loads(1, 3)
-        assert window.tolist() == [0, 0, 0]
-        schedule.add(2, 1)
-        assert window.tolist() == [0, 1, 0]
-
-    def test_empty_window_rejected(self):
-        schedule = SlotSchedule(n_segments=2)
-        with pytest.raises(SchedulingError):
-            schedule.window_loads(5, 4)
-
-    def test_window_below_released_floor_rejected(self):
-        schedule = SlotSchedule(n_segments=2)
-        schedule.release_before(10)
-        with pytest.raises(SchedulingError):
-            schedule.window_loads(8, 12)
-
-
 class TestChooseLatestMin:
+    """``place_latest_min`` picks the slot of the paper's reference rule."""
+
     def test_matches_reference_chooser(self):
-        schedule = SlotSchedule(n_segments=6)
-        for slot, segment in ((1, 1), (2, 2), (2, 3), (4, 4)):
-            schedule.add(slot, segment)
         for first, last in ((1, 4), (2, 2), (1, 6), (3, 5)):
-            assert schedule.choose_latest_min(first, last) == (
-                latest_min_load_chooser(schedule.load, first, last)
-            )
+            schedule = SlotSchedule(n_segments=6)
+            for slot, segment in ((1, 1), (2, 2), (2, 3), (4, 4)):
+                schedule.add(slot, segment)
+            expected = latest_min_load_chooser(schedule.load, first, last)
+            assert schedule.place_latest_min(first, last, 5) == expected
 
     def test_large_window_uses_vector_path(self):
         schedule = SlotSchedule(n_segments=99)
         schedule.add(30, 1)
         schedule.add(77, 2)
         # Window of 99 slots (> the small-window threshold).
-        assert schedule.choose_latest_min(1, 99) == latest_min_load_chooser(
-            schedule.load, 1, 99
-        )
+        expected = latest_min_load_chooser(schedule.load, 1, 99)
+        assert schedule.place_latest_min(1, 99, 3) == expected
 
     def test_empty_window_rejected(self):
         schedule = SlotSchedule(n_segments=2)
         with pytest.raises(SchedulingError):
-            schedule.choose_latest_min(3, 2)
+            schedule.place_latest_min(3, 2, 1)
 
 
 class TestPlaceLatestMin:
@@ -185,7 +156,7 @@ class TestPlaceLatestMin:
         for slot, segment in ((1, 1), (3, 2), (3, 3)):
             reference.add(slot, segment)
             fused.add(slot, segment)
-        expected = reference.choose_latest_min(1, 4)
+        expected = latest_min_load_chooser(reference.load, 1, 4)
         reference.add(expected, 4)
         chosen = fused.place_latest_min(1, 4, 4)
         assert chosen == expected
@@ -212,14 +183,13 @@ class TestPlaceLatestMin:
     width=st.integers(0, 30),
 )
 def test_choose_latest_min_agrees_with_reference(instances, first, width):
-    """Property: the fused chooser == the paper's reference rule, always."""
+    """Property: the fused placement == the paper's reference rule, always."""
     schedule = SlotSchedule(n_segments=8)
     for slot, segment in instances:
         schedule.add(slot, segment)
     last = first + width
-    assert schedule.choose_latest_min(first, last) == latest_min_load_chooser(
-        schedule.load, first, last
-    )
+    expected = latest_min_load_chooser(schedule.load, first, last)
+    assert schedule.place_latest_min(first, last, 1) == expected
 
 
 @given(

@@ -1,5 +1,7 @@
 """Tests for repro.experiments.fig1to5 — the exact schedule figures."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -76,3 +78,10 @@ def test_invalid_figure_number():
         render_figure(6)
     with pytest.raises(ConfigurationError):
         render_dhb_schedule([])
+
+
+def test_render_all_matches_the_committed_figures():
+    """Figures 1–5 byte for byte as committed under benchmarks/results."""
+    committed = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+    text = (committed / "figures_1_to_5.txt").read_text(encoding="utf-8")
+    assert render_all_figures() + "\n" == text

@@ -3,11 +3,18 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.protocols.base import StaticBroadcastProtocol, StaticMap, verify_static_map
+from repro.protocols.base import (
+    StaticBroadcastProtocol,
+    StaticMap,
+    Train,
+    cycle,
+    verify_static_map,
+)
 
 
 def simple_map():
-    return StaticMap(patterns=[[1], [2, 3]], n_segments=3)
+    # Stream 1 loops S1; stream 2 alternates S2, S3.
+    return StaticMap(cycle(0, 1, 1) + cycle(1, 2, 3))
 
 
 def test_segment_at_cycles():
@@ -32,9 +39,11 @@ def test_period_of_missing_segment():
 
 
 def test_period_of_uneven_spacing_detected():
-    uneven = StaticMap(patterns=[[1, 1, 2, 1]], n_segments=2)
+    # The pattern S1 S1 S2 S1 needs two trains for S1; a map takes one.
     with pytest.raises(SchedulingError):
-        uneven.period_of(1)
+        StaticMap(
+            [Train(0, 4, 0, 1), Train(0, 4, 1, 1), Train(0, 4, 3, 1), Train(0, 4, 2, 2)]
+        )
 
 
 def test_render():
@@ -49,15 +58,15 @@ def test_verify_accepts_valid_map():
 
 def test_verify_rejects_late_segment():
     # S2 every 3 slots violates its 2-slot deadline.
-    bad = StaticMap(patterns=[[1], [2, 3, 3]], n_segments=3)
+    bad = StaticMap([Train(0, 1, 0, 1), Train(1, 3, 0, 2), Train(1, 3, 1, 3)])
     with pytest.raises(SchedulingError):
         verify_static_map(bad)
 
 
 def test_verify_rejects_missing_segment():
-    missing = StaticMap(patterns=[[1], [3, 3]], n_segments=3)
+    # A map without S2 cannot be built, so it never reaches verification.
     with pytest.raises(SchedulingError):
-        verify_static_map(missing)
+        verify_static_map(StaticMap([Train(0, 1, 0, 1), Train(1, 1, 0, 3)]))
 
 
 def test_exhaustive_check_agrees_with_period_check():

@@ -91,3 +91,9 @@ def test_release_before_prunes():
 def test_validation():
     with pytest.raises(ConfigurationError):
         DynamicSkyscraperProtocol()
+
+
+def test_segments_beyond_the_streams_rejected():
+    with pytest.raises(ConfigurationError):
+        DynamicSkyscraperProtocol(n_streams=3, n_segments=99)
+    assert DynamicSkyscraperProtocol(n_streams=3, n_segments=5).n_segments == 5

@@ -34,7 +34,8 @@ def test_streams_for_segments():
 
 def test_stream_s_carries_its_dyadic_range():
     m = fb_map(4)
-    assert m.patterns[3] == list(range(8, 16))
+    assert [m.segment_at(3, slot) for slot in range(8)] == list(range(8, 16))
+    assert {m.period_of(j) for j in range(8, 16)} == {8}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
@@ -45,7 +46,8 @@ def test_delivery_guarantee(k):
 def test_truncated_last_stream():
     m = fb_map(7, n_segments=99)
     assert m.n_segments == 99
-    assert m.patterns[6] == list(range(64, 100))
+    assert [m.segment_at(6, slot) for slot in range(36)] == list(range(64, 100))
+    assert {m.period_of(j) for j in range(64, 100)} == {36}
     verify_static_map(m)
 
 

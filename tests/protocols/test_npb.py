@@ -86,3 +86,19 @@ def test_constructor_validation():
         pagoda_capacity(0)
     with pytest.raises(ConfigurationError):
         pagoda_streams_for_segments(0)
+
+
+def test_idle_slots_list_no_segment():
+    """Six streams carrying five segments leave trains idle; a slot lists
+    only the segments it carries, never a nonexistent S0."""
+    npb = NewPagodaBroadcasting(n_streams=6, n_segments=5)
+    assert npb.slot_instances(5) == [1, 4, 5]
+    assert npb.slot_load(5) == 6  # the allocated bandwidth is unchanged
+    for slot in range(60):
+        assert 0 not in npb.slot_instances(slot)
+    assert npb.map.render(6) == (
+        "Stream 1  S1 S1 S1 S1 S1 S1\n"
+        "Stream 2  S2 S4 S2 S0 S2 S4\n"
+        "Stream 3  S3 S0 S0 S3 S0 S0\n"
+        "Stream 4  S5 S0 S0 S0 S0 S5"
+    )

@@ -1,12 +1,12 @@
 """Tests for repro.protocols.on_demand — shared UD/dynamic-NPB machinery."""
 
 
-from repro.protocols.base import StaticMap
+from repro.protocols.base import StaticMap, cycle
 from repro.protocols.on_demand import OnDemandMapProtocol
 
 
 def make_protocol():
-    return OnDemandMapProtocol(StaticMap(patterns=[[1], [2, 3]], n_segments=3))
+    return OnDemandMapProtocol(StaticMap(cycle(0, 1, 1) + cycle(1, 2, 3)))
 
 
 def test_idle_system_transmits_nothing():

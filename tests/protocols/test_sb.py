@@ -103,3 +103,12 @@ def test_constructor_validation():
         skyscraper_widths(3, width_cap=0)
     with pytest.raises(ConfigurationError):
         sb_streams_for_segments(0)
+
+
+def test_segments_beyond_the_streams_rejected():
+    """Three SB streams carry five segments; asking for 99 must fail, as it
+    does for FB and NPB, instead of silently building a 5-segment map."""
+    with pytest.raises(ConfigurationError):
+        SkyscraperBroadcasting(n_streams=3, n_segments=99)
+    assert SkyscraperBroadcasting(n_streams=3, n_segments=5).n_segments == 5
+    assert SkyscraperBroadcasting(n_streams=3, n_segments=4).n_segments == 5
